@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -273,7 +273,7 @@ def link(g: Hypergraph, v: int) -> Hypergraph:
     return Hypergraph(g.n, g.k - 1, tuple(sorted(rem)))
 
 
-def _is_crossing(edge: Edge, assignment: tuple[int, ...]) -> bool:
+def _is_crossing(edge: Edge, assignment: Sequence[int]) -> bool:
     # with r == k, "meets every class" is "all classes distinct"
     seen = 0
     for v in edge:

@@ -107,8 +107,7 @@ class _Ticker:
 
 
 def _crossing_flags(h: Hypergraph, assignment: list[int]) -> list[bool]:
-    a = tuple(assignment)
-    return [_is_crossing(e, a) for e in h.edges]
+    return [_is_crossing(e, assignment) for e in h.edges]
 
 
 def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, list[int], int]:
@@ -131,9 +130,8 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, 
                     continue
                 a[v] = c
                 gain = 0
-                at = tuple(a)
                 for i in h.vertex_edges[v]:
-                    after = _is_crossing(h.edges[i], at)
+                    after = _is_crossing(h.edges[i], a)
                     if after != cross[i]:
                         gain += 1 if after else -1
                 a[v] = cur
@@ -144,9 +142,8 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, 
             return value, a, moves
         v, c = best_move
         a[v] = c
-        at = tuple(a)
         for i in h.vertex_edges[v]:
-            cross[i] = _is_crossing(h.edges[i], at)
+            cross[i] = _is_crossing(h.edges[i], a)
         value += best_gain
         moves += 1
 
@@ -451,17 +448,38 @@ def max_tfree_repair(
     )
 
 
+def _edge_copy_masks(m: int, triples: list[tuple[int, int, int]]) -> list[int]:
+    """Per edge, the bitset over copy ids of the copies through it."""
+    nbytes = (len(triples) + 7) >> 3
+    bufs = [bytearray(nbytes) for _ in range(m)]
+    for ci, t in enumerate(triples):
+        byte, bit = ci >> 3, 1 << (ci & 7)
+        for e in t:
+            bufs[e][byte] |= bit
+    return [int.from_bytes(b, "little") for b in bufs]
+
+
 def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     """Maximum edge subset containing no copy of the generalized triangle.
 
     Every copy forbids keeping all three of its edges.  Branch-and-bound
-    decides edges of an unresolved copy (delete / keep) with two prunings:
-    copies whose other two edges are kept force the deletion of the third,
-    and the value bound is remaining edges minus a greedy packing of live
-    edge-disjoint copies (each needs its own future deletion).  Only keep
-    decisions can create forced deletions, so propagation is a single pass
-    over a queue.  Instances with more than 10^7 copies are refused to guard
-    memory.
+    decides the undecided edges of one copy in turn (delete, then keep): the
+    lowest-id live copy with a kept edge, else the lowest-id live copy.
+    Keeping the second edge of a live copy forces the deletion of its third,
+    and deletions force nothing, so propagation is a single pass.
+
+    The state is Python-int bitsets over copy ids.  ``cm[e]`` holds the
+    copies through edge e; a node carries ``live`` (copies with no deleted
+    edge) and ``k1`` (copies with a kept edge).  Deleting e clears ``cm[e]``
+    from ``live``; keeping e forces the copies in ``cm[e] & live & k1``, in
+    ascending id order.  No live copy ever has two kept edges, so keeping
+    never closes a copy.  The value bound is the remaining edges minus a
+    greedy packing of live edge-disjoint copies (each needs its own future
+    deletion), built in copy-id order by lowest-set-bit extraction: take the
+    lowest candidate (a, b, c), then clear ``cm[a] | cm[b] | cm[c]`` from
+    the candidates.  Memory is O(edges * copies) bits, with no per-copy
+    conflict mask.  Instances with more than 10^7 copies are refused to
+    guard memory.
     """
     t0 = time.monotonic()
     total = count_T(h)
@@ -478,137 +496,70 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             f"{total} copies exceed the exact-tier guard of {MAX_COPIES_EXACT}"
         )
     triples = t_copy_triples(h)
-    ncopies = len(triples)
     rng = random.Random(0x5EED)
     greedy = _greedy_tfree(h, triples, None)
     crossing = _crossing_incumbent(h, rng, 3)
     incumbent = greedy if len(greedy) >= len(crossing) else crossing
     best = {"value": len(incumbent), "keep": incumbent}
 
-    edge_copies: list[list[int]] = [[] for _ in range(m)]
-    copy_mask = [0] * ncopies
-    for ci, t in enumerate(triples):
-        mask = 0
-        for e in t:
-            edge_copies[e].append(ci)
-            mask |= 1 << e
-        copy_mask[ci] = mask
+    cm = _edge_copy_masks(m, triples)
+    participation = [c.bit_count() for c in cm]
     status = [UNDEC] * m
-    und = [3] * ncopies
-    dels = [0] * ncopies
-    participation = [len(edge_copies[e]) for e in range(m)]
     ticker = _Ticker(budget)
 
-    def assign(e: int, st: int, forced: list[int]) -> bool:
-        """Set an edge's status; False when a live copy becomes fully kept."""
-        status[e] = st
-        ok = True
-        for ci in edge_copies[e]:
-            und[ci] -= 1
-            if st == DEL:
-                dels[ci] += 1
-            elif dels[ci] == 0:
-                if und[ci] == 0:
-                    ok = False
-                elif und[ci] == 1:
-                    forced.append(ci)
-        return ok
-
-    def unassign(e: int) -> None:
-        st = status[e]
-        for ci in edge_copies[e]:
-            und[ci] += 1
-            if st == DEL:
-                dels[ci] -= 1
-        status[e] = UNDEC
-
-    def propagate(forced: list[int], trail: list[int]) -> bool:
-        """Delete the last undecided edge of every forced copy; deletions never cascade."""
-        qi = 0
-        ok = True
-        while qi < len(forced):
-            ci = forced[qi]
-            qi += 1
-            if dels[ci] > 0 or und[ci] != 1:
-                continue
-            target = -1
-            for e in triples[ci]:
-                if status[e] == UNDEC:
-                    target = e
-                    break
-            if target < 0:
-                continue
-            trail.append(target)
-            if not assign(target, DEL, forced):
-                ok = False
-                break
-        return ok
-
-    def search(ndel: int) -> None:
+    def search(live: int, k1: int, ndel: int) -> None:
         ticker.tick()
-        # single pass: greedy packing bound + branch-copy selection
-        used_mask = 0
+        cand = live
         packing = 0
-        pick = -1
-        pick3 = -1
-        for ci in range(ncopies):
-            if dels[ci]:
-                continue
-            u = und[ci]
-            if u == 2 and pick < 0:
-                pick = ci
-            elif u == 3 and pick3 < 0:
-                pick3 = ci
-            cmask = copy_mask[ci]
-            if not (cmask & used_mask):
-                used_mask |= cmask
-                packing += 1
+        while cand:
+            a, b, c = triples[(cand & -cand).bit_length() - 1]
+            cand &= ~(cm[a] | cm[b] | cm[c])
+            packing += 1
         if m - ndel - packing <= best["value"]:
             return
-        if pick < 0:
-            pick = pick3
-        if pick < 0:
+        open_copies = live & k1 or live & ~k1
+        if not open_copies:
             keep = [e for e in range(m) if status[e] != DEL]
             if len(keep) > best["value"]:
                 best["value"] = len(keep)
                 best["keep"] = keep
             return
+        pick = open_copies & -open_copies
         branch = sorted(
-            (e for e in triples[pick] if status[e] == UNDEC),
+            (e for e in triples[pick.bit_length() - 1] if status[e] == UNDEC),
             key=lambda e: (-participation[e], e),
         )
         assigned_here: list[int] = []
-        ndel_cur = ndel
         for e in branch:
-            if dels[pick] > 0:
+            if not live & pick:
                 # an earlier keep's propagation resolved the picked copy, so
                 # the remaining space is unconstrained by it: recurse once
-                search(ndel_cur)
+                search(live, k1, ndel)
                 break
-            forced: list[int] = []
-            trail: list[int] = [e]
-            assign(e, DEL, forced)
-            propagate(forced, trail)
-            search(ndel_cur + len(trail))
-            for x in reversed(trail):
-                unassign(x)
-            forced = []
-            if not assign(e, KEPT, forced):
-                unassign(e)
-                break
-            trail = []
-            propagate(forced, trail)
-            ndel_cur += len(trail)
+            status[e] = DEL
+            search(live & ~cm[e], k1, ndel + 1)
+            status[e] = KEPT
             assigned_here.append(e)
-            assigned_here.extend(trail)
-        # keeping every edge of the picked copy is infeasible, so the loop
-        # always exits via a break or a resolved pick; only unwind here
-        for x in reversed(assigned_here):
-            unassign(x)
+            hit = cm[e] & live
+            forced = hit & k1
+            k1 |= hit
+            while forced:
+                for x in triples[(forced & -forced).bit_length() - 1]:
+                    if status[x] == UNDEC:
+                        break
+                status[x] = DEL
+                assigned_here.append(x)
+                live &= ~cm[x]
+                ndel += 1
+                forced &= live
+        # keeping the last undecided edge of the pick is never tried: keeping
+        # the one before it deletes it, so the loop ends at a resolved pick
+        for x in assigned_here:
+            status[x] = UNDEC
 
     budget_hit = False
     try:
-        search(0)
+        search((1 << len(triples)) - 1, 0, 0)
         completed = True
     except _BudgetExceeded:
         completed = False

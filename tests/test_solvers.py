@@ -120,6 +120,92 @@ class TestTfreeExact:
         assert a.witness.indices == b.witness.indices and a.value == b.value
 
 
+# max_tfree_exact results recorded from the per-copy-array solver that the
+# bitset state replaced; a rewrite that keeps the branching rules must
+# reproduce them exactly: (host, node budget, value, witness ids, optimal, nodes)
+_GOLDEN_TFREE = [
+    ("gknp-9-0.3-0", None, 23, (
+        0, 2, 4, 9, 10, 11, 12, 14, 17, 18, 19, 20, 21, 23, 24, 25, 26, 30, 31, 32, 33,
+        34, 35,
+    ), True, 705),
+    ("gknp-9-0.3-1", None, 27, (
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+        22, 23, 24, 25, 26,
+    ), True, 602),
+    ("gknp-9-0.3-2", None, 24, (
+        0, 4, 5, 7, 12, 13, 14, 15, 17, 18, 19, 22, 23, 24, 25, 26, 27, 31, 32, 33, 34,
+        38, 39, 40,
+    ), True, 1065),
+    ("gknp-9-0.4-0", None, 27, (
+        3, 5, 8, 9, 13, 15, 17, 20, 21, 22, 23, 24, 25, 27, 28, 30, 33, 34, 35, 39, 41,
+        42, 44, 46, 47, 48, 49,
+    ), True, 6557),
+    ("gknp-9-0.4-1", None, 31, (
+        1, 2, 5, 6, 7, 8, 11, 14, 17, 18, 19, 21, 24, 26, 29, 32, 34, 35, 37, 42, 44,
+        45, 47, 48, 49, 50, 51, 52, 53, 55, 56,
+    ), True, 15322),
+    ("gknp-9-0.4-2", None, 27, (
+        0, 1, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25, 26, 27, 28, 29, 30, 39, 40, 41, 42,
+        43, 44, 45, 46, 47, 48,
+    ), True, 19713),
+    ("gknp-8-0.5-0", None, 21, (
+        3, 5, 6, 8, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 28, 29, 31, 32, 33,
+    ), True, 280),
+    ("gknp-8-0.5-1", None, 22, (
+        0, 2, 3, 4, 5, 9, 10, 16, 17, 21, 22, 23, 26, 27, 28, 32, 33, 34, 35, 36, 37,
+        40,
+    ), True, 1271),
+    ("random-k2", None, 16, (
+        1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 19, 21,
+    ), True, 6),
+    ("random-k3", None, 15, (
+        1, 4, 6, 7, 8, 14, 15, 16, 17, 19, 20, 26, 27, 28, 29,
+    ), True, 387),
+    ("complete-10", 300, 36, (
+        0, 4, 9, 22, 29, 33, 40, 47, 54, 60, 74, 81, 84, 88, 92, 102, 106, 115, 124,
+        136, 140, 144, 147, 154, 156, 163, 168, 174, 175, 181, 186, 193, 195, 202, 205,
+        209,
+    ), False, 301),
+]
+
+
+def _golden_host(name: str):
+    kind, *args = name.split("-")
+    if kind == "gknp":
+        n, p, i = args
+        return sample_gknp(int(n), 4, float(p), derive_seed(17, int(i)))
+    if kind == "random":
+        k = int(args[0][1])
+        n, m = {2: (9, 22), 3: (8, 30)}[k]
+        return random_hypergraph(random.Random(k), n, k, m=m)
+    return complete_hypergraph(int(args[0]), 4)
+
+
+class TestTfreeExactGolden:
+    @pytest.mark.parametrize(
+        "name,max_nodes,value,witness,optimal,nodes",
+        _GOLDEN_TFREE,
+        ids=[g[0] for g in _GOLDEN_TFREE],
+    )
+    def test_search_tree_unchanged(self, name, max_nodes, value, witness, optimal, nodes):
+        res = max_tfree_exact(_golden_host(name), Budget(max_nodes=max_nodes))
+        assert res.value == value
+        assert tuple(sorted(res.witness.indices)) == witness
+        assert res.optimal is optimal
+        assert res.stats.nodes == nodes
+        assert res.stats.budget_hit is (not optimal)
+
+    def test_complete_eleven_stays_small(self):
+        # 69,300 copies: a per-copy conflict mask would need ~600 MB here,
+        # the per-edge copy masks need ~3 MB
+        h = complete_hypergraph(11, 4)
+        res = max_tfree_exact(h, Budget(max_nodes=50))
+        assert res.stats.budget_hit
+        assert not res.optimal
+        assert len(res.witness.edges) == res.value
+        assert count_T(res.witness.as_hypergraph()) == 0
+
+
 class TestTfreeRepair:
     def test_identity_on_copy_free(self):
         h = turan_hypergraph(9, 3)
