@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from mantelab.experiments import (
     EXIT_PARTIAL,
     config_from_dict,
     run_audit,
+    run_experiment,
     run_concentration,
     run_phase_sweep,
     run_turan_table,
@@ -49,6 +51,79 @@ def read_rows(path):
             else:
                 rows.append(dict(zip(cols, line.split(","))))
     return header, cols, rows
+
+
+# Small runs of every kind, with the sha256 of each output file.  The digests
+# pin the exact bytes: a refactor of the runners must leave them unchanged.
+# Budgets are node-free and clock-free, so every value is deterministic.
+GOLDEN = {
+    "phase_exact": (
+        dict(kind="phase-sweep", n=[8, 14], p={"absolute": [0.3, 0.5]}, trials=2,
+             tier="exact"),
+        {".csv": "b86677de805b5cc7355376d06f5168c76a102cddc0f3222332059e80f12b9780"},
+    ),
+    "phase_heuristic": (
+        dict(kind="phase-sweep", n=[10], p={"absolute": [0.0, 0.3]}, trials=2,
+             tier="heuristic", restarts=2),
+        {".csv": "f1c7b25ee1326c9fac3048df69b35e60a0eca67edeb8f636e0732d20245b58ab"},
+    ),
+    "concentration": (
+        dict(kind="concentration", n=[12], p={"absolute": [0.0, 0.5]}, trials=2),
+        {".csv": "f4f4b811cd4baaa49ab6391e3d4e5edeb2174f28e364a0e296d698656e78b35a"},
+    ),
+    "audit_exact": (
+        dict(kind="audit", n=[8, 16], p={"absolute": [0.4]}, trials=2, tier="exact"),
+        {
+            ".csv": "5fdf2b87763288a2af6f5aa23d55d70f47fbfbecefbbbbdccd07845db9bbe66d",
+            ".json": "fba764883be72ed48f516766059d86a97566cdb8df8bed5ef104159f6c42bcc3",
+        },
+    ),
+    "audit_heuristic": (
+        dict(kind="audit", n=[10], p={"absolute": [0.3]}, trials=2,
+             tier="heuristic", restarts=2),
+        {
+            ".csv": "369606debc5d5f2b3743bd603c1838180585720c01ca909dbb82458923207708",
+            ".json": "3d064766a122fa75d6ae0aff55a2ea73d99fb706c8663a9ce1eb816e6afc970c",
+        },
+    ),
+    "turan_table": (
+        dict(kind="turan-table", k=3, n=[5, 6]),
+        {".csv": "1afcfe17fab2b3b89326db91a38963275b0c83d096f47f8a4b3ef96fa55ccdc8"},
+    ),
+}
+GOLDEN_STATUS = {"phase_exact": EXIT_PARTIAL, "concentration": EXIT_PARTIAL, "audit_exact": EXIT_PARTIAL}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name, tmp_path, monkeypatch):
+    # a relative out path keeps the echoed config free of the temp directory
+    monkeypatch.chdir(tmp_path)
+    doc, digests = GOLDEN[name]
+    out = run_experiment(config_from_dict(dict(doc, master_seed=9, out=name)))
+    assert out.status == GOLDEN_STATUS.get(name, EXIT_CLEAN)
+    assert out.files == tuple(name + ext for ext in digests)
+    for path in out.files:
+        blob = open(path, "rb").read()
+        assert hashlib.sha256(blob).hexdigest() == digests[path[len(name):]], path
+
+
+@pytest.mark.parametrize("name", ["phase_exact", "concentration", "audit_exact"])
+def test_timing_columns_in_every_row(name, tmp_path, monkeypatch):
+    # trial, skip and summary rows all carry the timing columns; the values
+    # are wall-clock and stay unchecked
+    monkeypatch.chdir(tmp_path)
+    doc, _ = GOLDEN[name]
+    out = run_experiment(config_from_dict(dict(doc, master_seed=9, out=name, emit_timings=True)))
+    lines = [ln for ln in open(out.files[0]).read().splitlines() if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    timings = {
+        "phase_exact": ["t_sample", "t_q", "t_tfree", "t_fourp"],
+        "concentration": ["t_sample", "t_report"],
+        "audit_exact": ["t_sample", "t_tfree", "t_partition", "t_audit", "t_gap"],
+    }[name]
+    assert cols[-len(timings):] == timings
+    assert {ln.split(",")[0] for ln in lines[1:]} >= {"trial", "skip"}
+    assert all(len(ln.split(",")) == len(cols) for ln in lines[1:])
 
 
 class TestConfig:
