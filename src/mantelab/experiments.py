@@ -7,8 +7,16 @@ Wall-clock columns would break byte-identical reruns, so timing columns are
 emitted only when the config sets ``emit_timings`` (excluded from the
 determinism contract); stage timings are otherwise dropped.
 
+Phase sweeps, concentration studies and audits share one trial pipeline,
+``_run_trials``: it plans the trials (cells, tier caps, and the global seed
+indices that capped cells still use up), samples each host and times it,
+turns a ``ValueError`` into a ``skip`` row, maps the trials over the worker
+pool, assembles trial, skip and summary rows, and writes the CSV (and, for
+audits, the JSON).  A ``_TrialKind`` supplies the rest as data: the kind's
+columns, its per-trial stages and its cell summary.
+
 Every CSV starts with a ``#``-prefixed header block carrying the schema
-version, a free-form build label, the config echoed as canonical JSON, and
+version, a single-line build label, the config echoed as canonical JSON, and
 the constants in use.  Exit status: 0 clean, 2 partial (cells skipped), 1
 failed.
 """
@@ -23,8 +31,12 @@ from time import perf_counter
 from typing import Callable
 
 from .hypergraph import complete_hypergraph, turan_hypergraph
+# decomposition and low_pair_cut_gap are not called here (an audit trial takes
+# both from defect_audit's report) but stay attributes of this module, where
+# perfbench/worker.py wraps each layer's functions for its traced runs.
 from .proplab import (
     AuditConstants,
+    _gap_report,
     concentration_report,
     decomposition,
     defect_audit,
@@ -148,6 +160,9 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     threads = int(doc.get("threads", 1))
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    build_label = str(doc.get("build_label", "unversioned"))
+    if "\n" in build_label or "\r" in build_label:
+        raise ConfigError("build_label must be a single line")
     cap = doc.get("cap")
     # the worker count is execution infrastructure, not experiment semantics:
     # leaving it out of the echo keeps reruns under any --threads byte-identical
@@ -171,7 +186,7 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         max_seconds=None if budget.get("max_seconds") is None else float(budget["max_seconds"]),
         constants=consts,
         emit_timings=bool(doc.get("emit_timings", False)),
-        build_label=str(doc.get("build_label", "unversioned")),
+        build_label=build_label,
         threads=threads,
         out=str(doc.get("out", "mantelab-run")),
         turan_cap=None if cap is None else int(cap),
@@ -240,22 +255,164 @@ def _pool_map(items: list, fn: Callable, threads: int) -> list:
     return [results[i] for i in range(len(items))]
 
 
-def _cells(cfg: ExperimentConfig) -> list[tuple[int, float]]:
-    return [(n, p) for n in cfg.n_values for p in cfg.p_grid(n)]
+def _out_base(cfg: ExperimentConfig) -> str:
+    return cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
 
 
-def _cell_feasible(cfg: ExperimentConfig, n: int) -> str | None:
-    if cfg.tier == "exact":
-        cap = EXACT_TIER_MAX_N_AUDIT if cfg.kind == "audit" else EXACT_TIER_MAX_N
-        if n > cap:
-            return f"exact tier capped at n={cap}"
+# ---------------------------------------------------------------------------
+# the trial pipeline
+
+
+@dataclass(frozen=True)
+class _TrialKind:
+    """What one experiment kind adds to the shared trial pipeline.
+
+    Every row reads ``row_type, n, k, p, [eps,] trial, seed, edges``, then
+    ``columns``, then ``timings`` when the config sets ``emit_timings``.
+    ``trial(cfg, g, p, trial_no, seed, lap)`` runs the stages after
+    sampling, calls ``lap()`` as each timed stage ends, and returns the
+    ``columns`` cells and a payload (the JSON trial document when
+    ``writes_json``).  ``summary(payloads)`` gives the last cells of one
+    cell's summary row; None writes no summary rows.  Skipped rows put
+    ``fill`` in every column but the last, which carries the reason.
+    """
+
+    schema: str
+    columns: tuple[str, ...]
+    timings: tuple[str, ...]
+    trial: Callable
+    summary: Callable | None
+    exact_cap: int | None  # None: the kind ignores the tier caps
+    fill: str = ""
+    eps_column: bool = False
+    writes_json: bool = False
+    needs_k4: bool = False
+
+
+def _cell_skip_reason(cfg: ExperimentConfig, n: int, exact_cap: int) -> str | None:
+    if cfg.tier == "exact" and n > exact_cap:
+        return f"exact tier capped at n={exact_cap}"
     if cfg.tier == "heuristic" and n > HEURISTIC_TIER_MAX_N:
         return f"heuristic tier capped at n={HEURISTIC_TIER_MAX_N}"
     return None
 
 
+def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
+    """Plan, sample, run and write every trial of a phase, concentration or audit run.
+
+    Trial ``t`` of the ``c``-th (n, p) cell derives its seed from global
+    index ``c * trials + t``, so a capped cell still uses up its indices.  A
+    ``ValueError`` from a trial's stages turns the trial into a ``skip`` row.
+    """
+    if kind.needs_k4 and cfg.k != 4:
+        return RunOutcome(EXIT_FAILED, (), f"{cfg.kind} runs need k=4")
+    items = []
+    skipped_cells = []
+    grid = [(n, p) for n in cfg.n_values for p in cfg.p_grid(n)]
+    for c, (n, p) in enumerate(grid):
+        reason = None if kind.exact_cap is None else _cell_skip_reason(cfg, n, kind.exact_cap)
+        if reason is not None:
+            skipped_cells.append((n, p, reason))
+            continue
+        items.extend((n, p, t, c * cfg.trials + t) for t in range(cfg.trials))
+    eps = [_fmt(cfg.eps)] if kind.eps_column else []
+    pad = [""] * len(kind.timings) if cfg.emit_timings else []
+
+    def head(row_type: str, n: int, p: float, trial: str) -> list[str]:
+        return [row_type, _fmt(n), _fmt(cfg.k), _fmt(p)] + eps + [trial]
+
+    def skip_row(n: int, p: float, trial: str, reason: str) -> list[str]:
+        blanks = [kind.fill] * (len(kind.columns) - 1)
+        return head("skip", n, p, trial) + ["", ""] + blanks + [reason.replace(",", ";")] + pad
+
+    def one(item):
+        n, p, trial_no, global_idx = item
+        seed = derive_seed(cfg.master_seed, global_idx)
+        laps = [perf_counter()]
+
+        def lap() -> None:
+            laps.append(perf_counter())
+
+        g = sample_gknp(n, cfg.k, p, seed)
+        lap()
+        try:
+            cells, payload = kind.trial(cfg, g, p, trial_no, seed, lap)
+        except ValueError as exc:
+            return n, p, skip_row(n, p, _fmt(trial_no), str(exc)), None
+        row = head("trial", n, p, _fmt(trial_no)) + [_fmt(seed.derived), _fmt(len(g.edges))]
+        times = [_fmt(b - a) for a, b in zip(laps, laps[1:])] if cfg.emit_timings else []
+        return n, p, row + cells + times, payload
+
+    results = _pool_map(items, one, cfg.threads)
+    rows = [row for _, _, row, _ in results]
+    rows += [skip_row(n, p, "", reason) for n, p, reason in skipped_cells]
+    payloads = [payload for _, _, _, payload in results if payload is not None]
+    if kind.summary is not None:
+        by_cell: dict[tuple[int, float], list] = {}
+        for n, p, _, payload in results:
+            if payload is not None:
+                by_cell.setdefault((n, p), []).append(payload)
+        for (n, p), cell in sorted(by_cell.items()):
+            tail = kind.summary(cell)
+            blanks = [""] * (len(kind.columns) - len(tail))
+            rows.append(head("summary", n, p, _fmt(len(cell))) + ["", ""] + blanks + tail + pad)
+
+    columns = (["row_type", "n", "k", "p"] + (["eps"] if kind.eps_column else [])
+               + ["trial", "seed", "edges"] + list(kind.columns)
+               + (list(kind.timings) if cfg.emit_timings else []))
+    base = _out_base(cfg)
+    files = (base + ".csv", base + ".json") if kind.writes_json else (base + ".csv",)
+    _write(files[0], _csv_text(cfg, kind.schema, columns, rows))
+    if kind.writes_json:
+        doc = {
+            "schema": f"mantelab.{kind.schema}.{SCHEMA_VERSION}",
+            "build": cfg.build_label,
+            "config": cfg.raw_dict(),
+            "trials": payloads,
+        }
+        _write(files[1], json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    partial = bool(skipped_cells) or len(payloads) < len(results)
+    return RunOutcome(EXIT_PARTIAL if partial else EXIT_CLEAN, files, f"{len(results)} trials")
+
+
+def _cut(cfg: ExperimentConfig, g, seed):
+    if cfg.tier == "exact":
+        return max_cut4_exact(g, cfg.budget)
+    return max_cut4_local(g, seed, cfg.restarts)
+
+
+def _tfree(cfg: ExperimentConfig, g, seed):
+    if cfg.tier == "exact":
+        return max_tfree_exact(g, cfg.budget)
+    return max_tfree_repair(g, seed, cfg.restarts)
+
+
 # ---------------------------------------------------------------------------
 # phase sweep
+
+
+def _phase_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
+    qres = _cut(cfg, g, seed)
+    lap()
+    tres = _tfree(cfg, g, seed)
+    lap()
+    fourp = is_4partite(tres.witness.as_hypergraph(), cfg.budget) if cfg.tier == "exact" else None
+    lap()
+    lp = len(low_pairs(g, qres.witness, p, float(cfg.constants.alpha)).pairs)
+    match = tres.value == qres.value
+    values = (qres.value, qres.optimal, tres.value, tres.optimal, fourp, lp, match)
+    return [_fmt(x) for x in values], match
+
+
+_PHASE = _TrialKind(
+    schema="phase",
+    columns=("q_value", "q_optimal", "tfree_value", "tfree_optimal",
+             "four_partite", "low_pairs", "match"),
+    timings=("t_sample", "t_q", "t_tfree", "t_fourp"),
+    trial=_phase_trial,
+    summary=lambda matches: [_fmt(sum(matches) / len(matches))],
+    exact_cap=EXACT_TIER_MAX_N,
+)
 
 
 def run_phase_sweep(cfg: ExperimentConfig) -> RunOutcome:
@@ -265,322 +422,115 @@ def run_phase_sweep(cfg: ExperimentConfig) -> RunOutcome:
     heuristic tier reports "repair value equals local-cut value", a labeled
     proxy, with partiteness recorded as unknown.
     """
-    columns = [
-        "row_type", "n", "k", "p", "trial", "seed", "edges",
-        "q_value", "q_optimal", "tfree_value", "tfree_optimal",
-        "four_partite", "low_pairs", "match",
-    ]
-    if cfg.emit_timings:
-        columns += ["t_sample", "t_q", "t_tfree", "t_fourp"]
-
-    def one(item):
-        n, p, trial_no, global_idx = item
-        seed = derive_seed(cfg.master_seed, global_idx)
-        t0 = perf_counter()
-        g = sample_gknp(n, cfg.k, p, seed)
-        t_sample = perf_counter() - t0
-        try:
-            t0 = perf_counter()
-            if cfg.tier == "exact":
-                qres = max_cut4_exact(g, cfg.budget)
-            else:
-                qres = max_cut4_local(g, seed, cfg.restarts)
-            t_q = perf_counter() - t0
-            t0 = perf_counter()
-            if cfg.tier == "exact":
-                tres = max_tfree_exact(g, cfg.budget)
-            else:
-                tres = max_tfree_repair(g, seed, cfg.restarts)
-            t_tfree = perf_counter() - t0
-            t0 = perf_counter()
-            if cfg.tier == "exact":
-                fourp = is_4partite(tres.witness.as_hypergraph(), cfg.budget)
-            else:
-                fourp = None
-            t_fourp = perf_counter() - t0
-        except ValueError as exc:
-            return ("skip", n, p, trial_no, str(exc))
-        lp = len(low_pairs(g, qres.witness, p, float(cfg.constants.alpha)).pairs)
-        match = tres.value == qres.value
-        row = [
-            "trial", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(trial_no),
-            _fmt(seed.derived), _fmt(len(g.edges)),
-            _fmt(qres.value), _fmt(qres.optimal),
-            _fmt(tres.value), _fmt(tres.optimal),
-            _fmt(fourp), _fmt(lp), _fmt(match),
-        ]
-        if cfg.emit_timings:
-            row += [_fmt(t_sample), _fmt(t_q), _fmt(t_tfree), _fmt(t_fourp)]
-        return ("ok", n, p, trial_no, row, match)
-
-    items = []
-    idx = 0
-    skipped_cells = []
-    for n, p in _cells(cfg):
-        reason = _cell_feasible(cfg, n)
-        if reason is not None:
-            skipped_cells.append((n, p, reason))
-            idx += cfg.trials
-            continue
-        for t in range(cfg.trials):
-            items.append((n, p, t, idx))
-            idx += 1
-    results = _pool_map(items, one, cfg.threads)
-
-    rows: list[list[str]] = []
-    partial = bool(skipped_cells)
-    pad = [""] * (4 if cfg.emit_timings else 0)
-    by_cell: dict[tuple[int, float], list[bool]] = {}
-    for res in results:
-        if res[0] == "skip":
-            _, n, p, trial_no, reason = res
-            rows.append(
-                ["skip", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(trial_no), "", "",
-                 "", "", "", "", "", "", reason.replace(",", ";")] + pad
-            )
-            partial = True
-            continue
-        _, n, p, trial_no, row, match = res
-        rows.append(row)
-        by_cell.setdefault((n, p), []).append(match)
-    for n, p, reason in skipped_cells:
-        rows.append(
-            ["skip", _fmt(n), _fmt(cfg.k), _fmt(p), "", "", "",
-             "", "", "", "", "", "", reason.replace(",", ";")] + pad
-        )
-    for (n, p), matches in sorted(by_cell.items()):
-        rate = sum(matches) / len(matches)
-        rows.append(
-            ["summary", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(len(matches)), "", "",
-             "", "", "", "", "", "", _fmt(rate)] + pad
-        )
-    path = cfg.out if cfg.out.endswith(".csv") else cfg.out + ".csv"
-    _write(path, _csv_text(cfg, "phase", columns, rows))
-    status = EXIT_PARTIAL if partial else EXIT_CLEAN
-    return RunOutcome(status, (path,), f"{len(results)} trials")
+    return _run_trials(cfg, _PHASE)
 
 
 # ---------------------------------------------------------------------------
 # concentration study
 
 
-_CONC_ROWS = [
+_CONC_ROWS = (
     "triple_codegree", "pair_codegree", "pair_common_degree",
     "vertex_degree", "crossing_degree",
-]
+)
+
+
+def _concentration_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
+    part = random_partition(g.n, 4, derive_seed(seed.derived, 1))
+    rep = concentration_report(g, p, part, cfg.eps)
+    lap()
+    flags = [_fmt(r.passed) if r.applicable else "na" for r in map(rep.row, _CONC_ROWS)]
+    return flags + [_fmt(rep.all_pass)], (flags, rep.all_pass)
+
+
+def _concentration_summary(cell: list) -> list[str]:
+    rates = []
+    for i in range(len(_CONC_ROWS)):
+        vals = [flags[i] for flags, _ in cell if flags[i] != "na"]
+        rates.append(_fmt(sum(v == "true" for v in vals) / len(vals)) if vals else "na")
+    return rates + [_fmt(sum(all_pass for _, all_pass in cell) / len(cell))]
+
+
+_CONCENTRATION = _TrialKind(
+    schema="concentration",
+    columns=_CONC_ROWS + ("all_pass",),
+    timings=("t_sample", "t_report"),
+    trial=_concentration_trial,
+    summary=_concentration_summary,
+    exact_cap=None,
+    fill="na",
+    eps_column=True,
+    needs_k4=True,
+)
 
 
 def run_concentration(cfg: ExperimentConfig) -> RunOutcome:
     """Band checks of the five degree statistics against a random equal partition."""
-    columns = (
-        ["row_type", "n", "k", "p", "eps", "trial", "seed", "edges"]
-        + _CONC_ROWS
-        + ["all_pass"]
-    )
-    if cfg.emit_timings:
-        columns += ["t_sample", "t_report"]
-
-    def one(item):
-        n, p, trial_no, global_idx = item
-        seed = derive_seed(cfg.master_seed, global_idx)
-        t0 = perf_counter()
-        g = sample_gknp(n, cfg.k, p, seed)
-        t_sample = perf_counter() - t0
-        part = random_partition(n, 4, derive_seed(seed.derived, 1))
-        t0 = perf_counter()
-        try:
-            rep = concentration_report(g, p, part, cfg.eps)
-        except ValueError as exc:
-            return ("skip", n, p, trial_no, str(exc))
-        t_report = perf_counter() - t0
-        flags = []
-        for name in _CONC_ROWS:
-            r = rep.row(name)
-            flags.append("na" if not r.applicable else _fmt(r.passed))
-        row = (
-            ["trial", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(cfg.eps),
-             _fmt(trial_no), _fmt(seed.derived), _fmt(len(g.edges))]
-            + flags
-            + [_fmt(rep.all_pass)]
-        )
-        if cfg.emit_timings:
-            row += [_fmt(t_sample), _fmt(t_report)]
-        return ("ok", n, p, trial_no, row, flags, rep.all_pass)
-
-    if cfg.k != 4:
-        return RunOutcome(EXIT_FAILED, (), "concentration runs need k=4")
-    items = []
-    idx = 0
-    for n, p in _cells(cfg):
-        for t in range(cfg.trials):
-            items.append((n, p, t, idx))
-            idx += 1
-    results = _pool_map(items, one, cfg.threads)
-    rows: list[list[str]] = []
-    partial = False
-    pad = [""] * (2 if cfg.emit_timings else 0)
-    by_cell: dict[tuple[int, float], list] = {}
-    for res in results:
-        if res[0] == "skip":
-            _, n, p, trial_no, reason = res
-            rows.append(
-                ["skip", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(cfg.eps),
-                 _fmt(trial_no), "", ""] + ["na"] * 5 + [reason.replace(",", ";")] + pad
-            )
-            partial = True
-            continue
-        _, n, p, trial_no, row, flags, allp = res
-        rows.append(row)
-        by_cell.setdefault((n, p), []).append((flags, allp))
-    for (n, p), cell in sorted(by_cell.items()):
-        rates = []
-        for i in range(5):
-            vals = [f[0][i] for f in cell if f[0][i] != "na"]
-            rates.append(
-                "na" if not vals else _fmt(sum(v == "true" for v in vals) / len(vals))
-            )
-        all_rate = sum(f[1] for f in cell) / len(cell)
-        rows.append(
-            ["summary", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(cfg.eps),
-             _fmt(len(cell)), "", ""] + rates + [_fmt(all_rate)] + pad
-        )
-    path = cfg.out if cfg.out.endswith(".csv") else cfg.out + ".csv"
-    _write(path, _csv_text(cfg, "concentration", columns, rows))
-    return RunOutcome(EXIT_PARTIAL if partial else EXIT_CLEAN, (path,), f"{len(results)} trials")
+    return _run_trials(cfg, _CONCENTRATION)
 
 
 # ---------------------------------------------------------------------------
 # audit pipeline
 
 
+def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
+    tres = _tfree(cfg, g, seed)
+    f = tres.witness.as_hypergraph()
+    lap()
+    method = "exact" if cfg.tier == "exact" else "local"
+    pres = best_partition_for(f, method, seed=seed, budget=cfg.budget, restarts=cfg.restarts)
+    part, relabeling = relabel_for_largest_defect(f, pres.witness)
+    lap()
+    audit = defect_audit(g, f, part, p, cfg.constants, relabel=False)
+    rep = audit.decomposition
+    lap()
+    qres = _cut(cfg, g, seed)
+    gap = _gap_report(
+        g.n, p, cfg.constants.delta, qres.value, qres.optimal,
+        rep.crossing_host, len(rep.low_pair_set),
+    )
+    lap()
+    sizes = ("crossing_host", "crossing_sub", "defect_1", "defect_union", "missing",
+             "heavy", "heavy_rich", "heavy_poor", "low_pairs")
+    row = [_fmt(x) for x in (tres.value, tres.optimal, qres.value, qres.optimal)]
+    row += [_fmt(audit.size(name)) for name in sizes]
+    row += [_fmt(audit.row("conclusion_nonstrict").holds), _fmt(gap.gap), gap.interpretation]
+    doc = {
+        "trial": trial_no,
+        "n": g.n,
+        "k": cfg.k,
+        "p": p,
+        "seed": seed.derived,
+        "edges": len(g.edges),
+        "tfree_value": tres.value,
+        "tfree_optimal": tres.optimal,
+        "q_value": qres.value,
+        "q_optimal": qres.optimal,
+        "relabeling": list(relabeling) if relabeling else None,
+        "audit": audit.to_json_dict(),
+        "decomposition": rep.to_json_dict(),
+        "gap": gap.to_json_dict(),
+    }
+    return row, doc
+
+
+_AUDIT = _TrialKind(
+    schema="audit",
+    columns=("tfree_value", "tfree_optimal", "q_value", "q_optimal",
+             "crossing_host", "crossing_sub", "defect_1", "defect_union",
+             "missing", "heavy", "heavy_rich", "heavy_poor", "low_pairs",
+             "conclusion_nonstrict", "gap", "gap_interpretation"),
+    timings=("t_sample", "t_tfree", "t_partition", "t_audit", "t_gap"),
+    trial=_audit_trial,
+    summary=None,
+    exact_cap=EXACT_TIER_MAX_N_AUDIT,
+    writes_json=True,
+)
+
+
 def run_audit(cfg: ExperimentConfig) -> RunOutcome:
     """Sample, extract a copy-free subhypergraph, audit its decomposition."""
-    columns = [
-        "row_type", "n", "k", "p", "trial", "seed", "edges",
-        "tfree_value", "tfree_optimal", "q_value", "q_optimal",
-        "crossing_host", "crossing_sub", "defect_1", "defect_union",
-        "missing", "heavy", "heavy_rich", "heavy_poor", "low_pairs",
-        "conclusion_nonstrict", "gap", "gap_interpretation",
-    ]
-    if cfg.emit_timings:
-        columns += ["t_sample", "t_tfree", "t_partition", "t_audit", "t_gap"]
-
-    def one(item):
-        n, p, trial_no, global_idx = item
-        seed = derive_seed(cfg.master_seed, global_idx)
-        t0 = perf_counter()
-        g = sample_gknp(n, cfg.k, p, seed)
-        t_sample = perf_counter() - t0
-        try:
-            t0 = perf_counter()
-            if cfg.tier == "exact":
-                tres = max_tfree_exact(g, cfg.budget)
-            else:
-                tres = max_tfree_repair(g, seed, cfg.restarts)
-            f = tres.witness.as_hypergraph()
-            t_tfree = perf_counter() - t0
-            t0 = perf_counter()
-            method = "exact" if cfg.tier == "exact" else "local"
-            pres = best_partition_for(f, method, seed=seed, budget=cfg.budget, restarts=cfg.restarts)
-            part, relabeling = relabel_for_largest_defect(f, pres.witness)
-            t_partition = perf_counter() - t0
-            t0 = perf_counter()
-            audit = defect_audit(g, f, part, p, cfg.constants, relabel=False)
-            rep = decomposition(g, f, part, p, cfg.constants)
-            t_audit = perf_counter() - t0
-            t0 = perf_counter()
-            if cfg.tier == "exact":
-                qres = max_cut4_exact(g, cfg.budget)
-            else:
-                qres = max_cut4_local(g, seed, cfg.restarts)
-            gap = low_pair_cut_gap(
-                g, part, p, cfg.constants.delta, qres.value, qres.optimal,
-                float(cfg.constants.alpha),
-            )
-            t_gap = perf_counter() - t0
-        except ValueError as exc:
-            return ("skip", n, p, trial_no, str(exc))
-        row = [
-            "trial", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(trial_no),
-            _fmt(seed.derived), _fmt(len(g.edges)),
-            _fmt(tres.value), _fmt(tres.optimal),
-            _fmt(qres.value), _fmt(qres.optimal),
-            _fmt(audit.size("crossing_host")), _fmt(audit.size("crossing_sub")),
-            _fmt(audit.size("defect_1")), _fmt(audit.size("defect_union")),
-            _fmt(audit.size("missing")), _fmt(audit.size("heavy")),
-            _fmt(audit.size("heavy_rich")), _fmt(audit.size("heavy_poor")),
-            _fmt(audit.size("low_pairs")),
-            _fmt(audit.row("conclusion_nonstrict").holds),
-            _fmt(gap.gap), gap.interpretation,
-        ]
-        if cfg.emit_timings:
-            row += [_fmt(t) for t in (t_sample, t_tfree, t_partition, t_audit, t_gap)]
-        doc = {
-            "trial": trial_no,
-            "n": n,
-            "k": cfg.k,
-            "p": p,
-            "seed": seed.derived,
-            "edges": len(g.edges),
-            "tfree_value": tres.value,
-            "tfree_optimal": tres.optimal,
-            "q_value": qres.value,
-            "q_optimal": qres.optimal,
-            "relabeling": list(relabeling) if relabeling else None,
-            "audit": audit.to_json_dict(),
-            "decomposition": rep.to_json_dict(),
-            "gap": gap.to_json_dict(),
-        }
-        return ("ok", n, p, trial_no, row, doc)
-
-    items = []
-    idx = 0
-    skipped_cells = []
-    for n, p in _cells(cfg):
-        reason = _cell_feasible(cfg, n)
-        if reason is not None:
-            skipped_cells.append((n, p, reason))
-            idx += cfg.trials
-            continue
-        for t in range(cfg.trials):
-            items.append((n, p, t, idx))
-            idx += 1
-    results = _pool_map(items, one, cfg.threads)
-    rows: list[list[str]] = []
-    docs: list[dict] = []
-    partial = bool(skipped_cells)
-    pad = [""] * (5 if cfg.emit_timings else 0)
-    for res in results:
-        if res[0] == "skip":
-            _, n, p, trial_no, reason = res
-            rows.append(
-                ["skip", _fmt(n), _fmt(cfg.k), _fmt(p), _fmt(trial_no)]
-                + [""] * 17
-                + [reason.replace(",", ";")] + pad
-            )
-            partial = True
-            continue
-        _, n, p, trial_no, row, doc = res
-        rows.append(row)
-        docs.append(doc)
-    for n, p, reason in skipped_cells:
-        rows.append(
-            ["skip", _fmt(n), _fmt(cfg.k), _fmt(p), ""]
-            + [""] * 17
-            + [reason.replace(",", ";")] + pad
-        )
-    base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    csv_path, json_path = base + ".csv", base + ".json"
-    _write(csv_path, _csv_text(cfg, "audit", columns, rows))
-    payload = {
-        "schema": f"mantelab.audit.{SCHEMA_VERSION}",
-        "build": cfg.build_label,
-        "config": cfg.raw_dict(),
-        "trials": docs,
-    }
-    _write(json_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    status = EXIT_PARTIAL if partial else EXIT_CLEAN
-    return RunOutcome(status, (csv_path, json_path), f"{len(results)} trials")
+    return _run_trials(cfg, _AUDIT)
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +560,15 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
         host = complete_hypergraph(n, cfg.k)
         res = max_tfree_exact(host, cfg.budget)
         tcount = len(turan_hypergraph(n, cfg.k).edges)
-        equality = res.optimal and res.value == tcount
-        kpartite = res.optimal and res.value == tcount
+        # equality with the transversal count is the k-partite-optimum test
+        equality = _fmt(res.value == tcount) if res.optimal else "unknown"
         return [
             "result", _fmt(cfg.k), _fmt(n), _fmt(len(host.edges)),
-            _fmt(res.value), _fmt(res.optimal), _fmt(tcount),
-            _fmt(equality) if res.optimal else "unknown",
-            _fmt(kpartite) if res.optimal else "unknown",
+            _fmt(res.value), _fmt(res.optimal), _fmt(tcount), equality, equality,
         ]
 
     rows = _pool_map(sorted(cfg.n_values), one, cfg.threads)
-    path = cfg.out if cfg.out.endswith(".csv") else cfg.out + ".csv"
+    path = _out_base(cfg) + ".csv"
     _write(path, _csv_text(cfg, "turan_table", columns, rows))
     return RunOutcome(EXIT_CLEAN, (path,), f"{len(rows)} hosts")
 

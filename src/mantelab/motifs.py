@@ -23,6 +23,7 @@ from .hypergraph import (
     Pair,
     VertexPartition,
     _check_partition,
+    _is_crossing,
 )
 
 __all__ = [
@@ -166,15 +167,7 @@ def _crossing_remainders(
     rem: dict[int, set[tuple[int, ...]]] = {w: set() for w in anchors}
     a = part.assignment
     for e in g.edges:
-        seen = 0
-        ok = True
-        for v in e:
-            bit = 1 << a[v]
-            if seen & bit:
-                ok = False
-                break
-            seen |= bit
-        if not ok:
+        if not _is_crossing(e, a):
             continue
         for v in e:
             if v in rem:

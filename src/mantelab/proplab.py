@@ -28,6 +28,7 @@ from .hypergraph import (
     PairGraph,
     VertexPartition,
     _check_partition,
+    _is_crossing,
     crossing_edges,
     is_balanced,
     shadow_graph,
@@ -371,15 +372,7 @@ def low_pairs(
     groups: dict[tuple[int, ...], list[int]] = {}
     a = part.assignment
     for e in g.edges:
-        seen = 0
-        ok = True
-        for v in e:
-            b = 1 << a[v]
-            if seen & b:
-                ok = False
-                break
-            seen |= b
-        if not ok:
+        if not _is_crossing(e, a):
             continue
         x = next(v for v in e if a[v] == 0)
         t = tuple(v for v in e if v != x)
@@ -406,19 +399,15 @@ def low_pairs(
 
 def heavy_triple_count(g: Hypergraph, a_set: Iterable[int], eps: float, p: float) -> int:
     """Number of (k-1)-subsets whose co-neighborhood meets A in more than 2*eps*p*n vertices."""
+    if eps < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need eps >= 0 and p in [0, 1], got eps={eps}, p={p}")
     aset = set(a_set)
     for v in aset:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+    # the threshold is non-negative, so (k-1)-sets with empty co-neighborhoods never count
     threshold = 2.0 * eps * p * g.n
-    count = 0
-    for comp in g.cores.values():
-        inter = sum(1 for x in comp if x in aset)
-        if inter > threshold:
-            count += 1
-    if 0 > threshold:
-        count += math.comb(g.n, g.k - 1) - len(g.cores)
-    return count
+    return sum(1 for comp in g.cores.values() if sum(1 for x in comp if x in aset) > threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +439,8 @@ class DecompositionReport:
     constants: AuditConstants
     degenerate_heavy_threshold: bool
     degenerate_rich_threshold: bool
+    crossing_host: int  # |crossing edges of the host|, not in the JSON form
+    crossing_sub: int  # |crossing edges of the subhypergraph|, not in the JSON form
 
     def to_json_dict(self) -> dict:
         return {
@@ -468,6 +459,11 @@ class DecompositionReport:
             "degenerate_heavy_threshold": self.degenerate_heavy_threshold,
             "degenerate_rich_threshold": self.degenerate_rich_threshold,
         }
+
+
+def _defect_ids(f: Hypergraph, cls: frozenset[int]) -> frozenset[int]:
+    """Ids of the edges of f with at least two vertices in the class."""
+    return frozenset(j for j, e in enumerate(f.edges) if sum(1 for v in e if v in cls) >= 2)
 
 
 def decomposition(
@@ -490,13 +486,7 @@ def decomposition(
     n = g.n
     low = low_pairs(g, part, p, float(consts.alpha)).pairs
 
-    defect = []
-    for i in range(4):
-        cls = part.classes[i]
-        ids = frozenset(
-            j for j, e in enumerate(f.edges) if sum(1 for v in e if v in cls) >= 2
-        )
-        defect.append(EdgeSet(f, ids))
+    defect = [EdgeSet(f, _defect_ids(f, part.classes[i])) for i in range(4)]
 
     cross_g = crossing_edges(g, part)
     missing_ids = frozenset(
@@ -557,6 +547,8 @@ def decomposition(
         constants=consts,
         degenerate_heavy_threshold=heavy_threshold < 1,
         degenerate_rich_threshold=rich_threshold < 1,
+        crossing_host=len(cross_g),
+        crossing_sub=len(cross_f),
     )
 
 
@@ -659,6 +651,7 @@ class AuditReport:
     constants: AuditConstants
     degenerate_heavy_threshold: bool
     degenerate_rich_threshold: bool
+    decomposition: DecompositionReport  # the report audited, not in the JSON form
 
     def row(self, name: str) -> AuditRow:
         for r in self.rows:
@@ -689,12 +682,7 @@ def relabel_for_largest_defect(
     f: Hypergraph, part: VertexPartition
 ) -> tuple[VertexPartition, tuple[int, int, int, int] | None]:
     """Permute class labels so class 0 carries the largest defect set."""
-    sizes = []
-    for i in range(4):
-        cls = part.classes[i]
-        sizes.append(
-            sum(1 for e in f.edges if sum(1 for v in e if v in cls) >= 2)
-        )
+    sizes = [len(_defect_ids(f, part.classes[i])) for i in range(4)]
     order = sorted(range(4), key=lambda i: (-sizes[i], i))
     if order == [0, 1, 2, 3]:
         return part, None
@@ -732,8 +720,8 @@ def defect_audit(
         relabeling = None
     rep = decomposition(g, f, part, p, consts)
     n = g.n
-    cross_g = len(crossing_edges(g, part))
-    cross_f = len(crossing_edges(f, part))
+    cross_g = rep.crossing_host
+    cross_f = rep.crossing_sub
     b_sizes = [len(b) for b in rep.defect]
     union_defect = set()
     for b in rep.defect:
@@ -826,6 +814,7 @@ def defect_audit(
         constants=consts,
         degenerate_heavy_threshold=rep.degenerate_heavy_threshold,
         degenerate_rich_threshold=rep.degenerate_rich_threshold,
+        decomposition=rep,
     )
 
 
@@ -874,12 +863,17 @@ def low_pair_cut_gap(
 ) -> GapReport:
     """gap = q - |G[partition]| - |low pairs| * delta * n^3 * p^2."""
     crossing = len(crossing_edges(g, part))
-    low = low_pairs(g, part, p, alpha).pairs
-    discount = len(low) * float(delta) * g.n**3 * p * p
+    low_count = len(low_pairs(g, part, p, alpha).pairs)
+    return _gap_report(g.n, p, delta, q_value, q_certified, crossing, low_count)
+
+
+def _gap_report(
+    n: int, p: float, delta, q_value: int, q_certified: bool, crossing: int, low_count: int
+) -> GapReport:
+    """The gap arithmetic of :func:`low_pair_cut_gap` on counts already taken."""
+    discount = low_count * float(delta) * n**3 * p * p
     gap = q_value - crossing - discount
-    if gap > 0:
-        interpretation = "consistent"
-    elif gap == 0 and not low:
+    if gap > 0 or (gap == 0 and not low_count):
         interpretation = "consistent"
     elif q_certified:
         interpretation = "inconsistent-at-scale"
@@ -889,7 +883,7 @@ def low_pair_cut_gap(
         gap=gap,
         q_value=q_value,
         crossing=crossing,
-        low_pair_count=len(low),
+        low_pair_count=low_count,
         discount=discount,
         certified=q_certified,
         interpretation=interpretation,

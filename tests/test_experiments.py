@@ -152,6 +152,12 @@ class TestConfig:
         expect = min(1.0, 2.0 * math.log(8) / 8)
         assert cfg.p_grid(8) == [expect]
 
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\n"])
+    def test_multiline_build_label_rejected(self, tmp_path, label):
+        # a line break would split the '#' header block of every CSV
+        with pytest.raises(ConfigError, match="build_label"):
+            config_from_dict(base_doc(tmp_path, build_label=label))
+
     def test_constants_override(self, tmp_path):
         cfg = config_from_dict(base_doc(tmp_path, constants={"alpha": 0.5}))
         assert cfg.constants.alpha == 0.5
@@ -262,6 +268,12 @@ class TestConcentrationRun:
         _, _, rows = read_rows(out.files[0])
         trials = [r for r in rows if r["row_type"] == "trial"]
         assert all(r["all_pass"] == "false" for r in trials)
+
+    def test_needs_four_uniform_host(self, tmp_path):
+        doc = base_doc(tmp_path, kind="concentration", k=3, n=[8], p={"absolute": [0.5]})
+        out = run_concentration(config_from_dict(doc))
+        assert out.status == EXIT_FAILED and out.files == ()
+        assert not os.path.exists(tmp_path / "run.csv")
 
     def test_deterministic(self, tmp_path):
         doc = base_doc(

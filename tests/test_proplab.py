@@ -249,6 +249,12 @@ class TestHeavyTriples:
         # threshold 2 * 0.1 * 1.0 * 10 = 2 < n - 3: every triple counts
         assert heavy_triple_count(g, range(10), 0.1, 1.0) == math.comb(10, 3)
 
+    @pytest.mark.parametrize("eps, p", [(-0.1, 0.5), (0.1, -0.5), (0.1, 1.5)])
+    def test_rejects_negative_eps_and_p_outside_unit_interval(self, eps, p):
+        g = complete_hypergraph(8, 4)
+        with pytest.raises(ValueError, match="eps"):
+            heavy_triple_count(g, range(8), eps, p)
+
     def test_matches_naive(self, rng):
         for i in range(6):
             g = sample_gknp(10, 4, 0.5, derive_seed(62, i))
