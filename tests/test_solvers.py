@@ -178,7 +178,8 @@ def _golden_host(name: str):
         k = int(args[0][1])
         n, m = {2: (9, 22), 3: (8, 30)}[k]
         return random_hypergraph(random.Random(k), n, k, m=m)
-    return complete_hypergraph(int(args[0]), 4)
+    build = {"complete": complete_hypergraph, "turan": turan_hypergraph, "empty": empty_hypergraph}
+    return build[kind](int(args[0]), 4)
 
 
 class TestTfreeExactGolden:
@@ -204,6 +205,47 @@ class TestTfreeExactGolden:
         assert not res.optimal
         assert len(res.witness.edges) == res.value
         assert count_T(res.witness.as_hypergraph()) == 0
+
+
+# max_cut4_exact results recorded from the solver with per-edge counters and
+# undo logs that the bitset state replaced; a rewrite that keeps the vertex
+# order, symmetry rule, seed incumbent and bound must reproduce them exactly:
+# (host, node budget, use_symmetry, value, assignment, optimal, nodes)
+_GOLDEN_CUT = [
+    ("gknp-8-0.5-0", None, True, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 377),
+    ("gknp-9-0.3-1", None, True, 15, (0, 1, 1, 2, 2, 2, 0, 3, 3), True, 911),
+    ("gknp-9-0.5-1", None, True, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1396),
+    ("gknp-9-0.7-0", None, True, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 2307),
+    ("gknp-9-1.0-0", None, True, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 3475),
+    ("gknp-10-0.3-0", None, True, 19, (2, 0, 1, 2, 3, 1, 0, 0, 2, 3), True, 3196),
+    ("gknp-10-0.5-0", None, True, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7479),
+    ("gknp-8-0.5-1", None, False, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 10017),
+    ("complete-8", None, True, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 880),
+    # the local-cut seed already crosses every edge, so no node is searched
+    ("turan-9", None, True, 24, (2, 2, 2, 0, 0, 3, 3, 1, 1), True, 0),
+    ("empty-7", None, True, 0, (0, 1, 2, 3, 0, 1, 2), True, 0),
+    ("complete-11", 1, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), False, 2),
+    ("complete-11", 300, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), False, 301),
+]
+
+
+class TestCut4ExactGolden:
+    @pytest.mark.parametrize(
+        "name,max_nodes,use_symmetry,value,assignment,optimal,nodes",
+        _GOLDEN_CUT,
+        ids=[f"{g[0]}-{g[1]}-{'sym' if g[2] else 'nosym'}" for g in _GOLDEN_CUT],
+    )
+    def test_search_tree_unchanged(
+        self, name, max_nodes, use_symmetry, value, assignment, optimal, nodes
+    ):
+        res = max_cut4_exact(
+            _golden_host(name), Budget(max_nodes=max_nodes), use_symmetry=use_symmetry
+        )
+        assert res.value == value
+        assert res.witness.assignment == assignment
+        assert res.optimal is optimal
+        assert res.stats.nodes == nodes
+        assert res.stats.budget_hit is (not optimal)
 
 
 class TestTfreeRepair:
