@@ -121,6 +121,13 @@ class ExperimentConfig:
         return json.dumps(self.raw_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _shaped(value, shape: str, name: str):
+    """value if it is of the JSON shape named ("array" or "object"); else ConfigError."""
+    if not isinstance(value, {"array": (list, tuple), "object": dict}[shape]):
+        raise ConfigError(f"{name} must be a JSON {shape}, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before any trial runs."""
     if not isinstance(doc, dict):
@@ -129,17 +136,20 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     kind = doc.get("kind", kind)
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    n_values = tuple(int(x) for x in doc.get("n", []))
+    n_values = tuple(int(x) for x in _shaped(doc.get("n", []), "array", "n"))
     if not n_values or any(x < 4 for x in n_values):
         raise ConfigError("n must be a non-empty list of integers >= 4")
     k = int(doc.get("k", 4))
     if k not in (2, 3, 4):
         raise ConfigError(f"k must be 2, 3, or 4, got {k}")
     pdoc = doc.get("p", {})
-    if isinstance(pdoc, list):
+    if isinstance(pdoc, (list, tuple)):
         pdoc = {"absolute": pdoc}
-    p_abs = tuple(float(x) for x in pdoc.get("absolute", []))
-    p_mult = tuple(float(x) for x in pdoc.get("logn_multipliers", []))
+    _shaped(pdoc, "object", "p")
+    p_abs = tuple(float(x) for x in _shaped(pdoc.get("absolute", []), "array", "p.absolute"))
+    p_mult = tuple(
+        float(x) for x in _shaped(pdoc.get("logn_multipliers", []), "array", "p.logn_multipliers")
+    )
     if kind != "turan-table":
         if not p_abs and not p_mult:
             raise ConfigError("p grid is empty")
@@ -155,8 +165,10 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"tier must be 'exact' or 'heuristic', got {tier!r}")
     if kind in ("phase-sweep", "audit") and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
-    budget = doc.get("budget", {}) or {}
-    consts = AuditConstants().with_overrides(**(doc.get("constants", {}) or {}))
+    budget = _shaped(doc.get("budget", {}) or {}, "object", "budget")
+    consts = AuditConstants().with_overrides(
+        **_shaped(doc.get("constants", {}) or {}, "object", "constants")
+    )
     threads = int(doc.get("threads", 1))
     if threads < 1:
         raise ConfigError("threads must be >= 1")

@@ -259,34 +259,27 @@ def concentration_report(
     c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
     E = g.edge_array
 
-    tcnt = np.zeros(ntrip, dtype=np.int64)
+    # colex rank of each edge's four 3-cores; the completion of a core is the
+    # vertex it leaves out, so core block c pairs with column c of E
+    core_ranks = np.concatenate(
+        [
+            c3[E[:, c[2]]] + c2[E[:, c[1]]] + E[:, c[0]]
+            for c in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+        ]
+    )
+    tcnt = np.bincount(core_ranks, minlength=ntrip)
     pcnt = np.zeros(npair, dtype=np.int64)
-    dcnt = np.zeros(n, dtype=np.int64)
-    if m:
-        for cols in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
-            r = c3[E[:, cols[2]]] + c2[E[:, cols[1]]] + E[:, cols[0]]
-            tcnt += np.bincount(r, minlength=ntrip)
-        for lo, hi in combinations(range(4), 2):
-            r = c2[E[:, hi]] + E[:, lo]
-            pcnt += np.bincount(r, minlength=npair)
-        dcnt = np.bincount(E.ravel(), minlength=n)
+    for lo, hi in combinations(range(4), 2):
+        pcnt += np.bincount(c2[E[:, hi]] + E[:, lo], minlength=npair)
+    dcnt = np.bincount(E.ravel(), minlength=n)
 
     # common degree of every pair: co-occurrence of completions across cores
-    if m:
-        core_ranks = np.concatenate(
-            [
-                c3[E[:, c[2]]] + c2[E[:, c[1]]] + E[:, c[0]]
-                for c in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-            ]
-        )
-        comps = np.concatenate([E[:, 0], E[:, 1], E[:, 2], E[:, 3]])
-        a = sparse.csr_matrix(
-            (np.ones(len(comps), dtype=np.float32), (core_ranks, comps)),
-            shape=(ntrip, n),
-        )
-        dmat = (a.T @ a).toarray()
-    else:
-        dmat = np.zeros((n, n), dtype=np.float32)
+    comps = E.T.ravel()
+    a = sparse.csr_matrix(
+        (np.ones(len(comps), dtype=np.float32), (core_ranks, comps)),
+        shape=(ntrip, n),
+    )
+    dmat = (a.T @ a).toarray()
     iu = np.triu_indices(n, k=1)
     common = dmat[iu]
 

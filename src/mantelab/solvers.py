@@ -196,144 +196,78 @@ def max_cut4_exact(
     Vertices are assigned in descending-degree order (ties by index); with
     symmetry breaking, the first vertex is fixed to class 0 and a new class
     label may be opened only in order, which is valid for any fixed vertex
-    order.  The bound at a node is the number of edges not yet dead (an edge
-    dies when two of its vertices land in one class).  The incumbent is
-    seeded from a short local search, and the search itself is deterministic,
-    so value, flag, and witness are reproducible run to run.
+    order.  The incumbent is seeded from a short local search, and the search
+    itself is deterministic, so value, flag, and witness are reproducible run
+    to run.
+
+    The state is Python-int bitsets over edge ids, passed down the recursion
+    (no undo step).  ``ve[v]`` holds the edges through v; a node carries
+    ``s[c]`` (edges with an assigned vertex in class c), ``a1``..``a4`` (edges
+    with at least 1..4 assigned vertices) and ``dead`` (edges with two
+    vertices in one class).  An edge that is not dead counts toward the bound
+    once: as crossing if all four vertices are assigned, toward the demand of
+    its free vertex u for the one missing class if three are, and as loose if
+    at most two are.  A free vertex takes one class, so it meets the demand
+    of one class at most: the bound is crossing + loose + the sum over free
+    vertices of their largest per-class demand.
     """
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     n, m = h.n, len(h.edges)
     ticker = _Ticker(budget)
-    mask = [0] * m
-    cnt = [0] * m
-    dead = [False] * m
     order = sorted(range(n), key=lambda v: (-len(h.vertex_edges[v]), v))
+    ve = [sum(1 << i for i in h.vertex_edges[v]) for v in range(n)]
     seed_value, seed_assign, _ = _kpartite_local(h, 4, random.Random(0xCB1), 4)
-    state = {
-        "dead_total": 0,
-        "cross_total": 0,
-        "loose_total": m,  # alive edges with at most 2 assigned vertices
-        "demand_total": 0,  # sum over vertices of their max per-class demand
-        "best": seed_value,
-        "best_assign": seed_assign,
-        "done": seed_value == m,
-    }
+    best = {"value": seed_value, "assign": seed_assign}
     assign = [-1] * n
-    # demand[v][c]: alive edges whose only unassigned vertex is v, needing class c
-    demand = [[0, 0, 0, 0] for _ in range(n)]
-    vmax = [0] * n
-    last_free = [-1] * m  # the unassigned vertex of an alive 3-assigned edge
-    _CLASS_OF_BIT = {1: 0, 2: 1, 4: 2, 8: 3}
 
-    def bump(v: int, c: int, delta: int) -> None:
-        demand[v][c] += delta
-        new = max(demand[v])
-        state["demand_total"] += new - vmax[v]
-        vmax[v] = new
-
-    def apply(v: int, c: int) -> tuple[list[int], list[int], int, list[tuple[int, int, int]]]:
-        b = 1 << c
-        newly_dead: list[int] = []
-        bit_set: list[int] = []
-        new_cross = 0
-        demand_ops: list[tuple[int, int, int]] = []
-        for i in h.vertex_edges[v]:
-            prev = cnt[i]
-            cnt[i] += 1
-            if dead[i]:
-                continue
-            if mask[i] & b:
-                dead[i] = True
-                newly_dead.append(i)
-                if prev <= 2:
-                    state["loose_total"] -= 1
-                else:
-                    mc = _CLASS_OF_BIT[0b1111 ^ mask[i]]
-                    bump(v, mc, -1)
-                    demand_ops.append((v, mc, -1))
-                continue
-            mask[i] |= b
-            bit_set.append(i)
-            if prev == 2:
-                # now three assigned: the last vertex owes the missing class
-                state["loose_total"] -= 1
-                u = last_free[i] = next(
-                    x for x in h.edges[i] if assign[x] == -1
-                )
-                mc = _CLASS_OF_BIT[0b1111 ^ mask[i]]
-                bump(u, mc, 1)
-                demand_ops.append((u, mc, 1))
-            elif prev == 3:
-                new_cross += 1
-                mc = c
-                bump(v, mc, -1)
-                demand_ops.append((v, mc, -1))
-        state["dead_total"] += len(newly_dead)
-        state["cross_total"] += new_cross
-        return newly_dead, bit_set, new_cross, demand_ops
-
-    def undo(
-        v: int,
-        c: int,
-        newly_dead: list[int],
-        bit_set: list[int],
-        new_cross: int,
-        demand_ops: list[tuple[int, int, int]],
+    def dfs(
+        pos: int, used: int, s: tuple[int, ...], a1: int, a2: int, a3: int, a4: int, dead: int
     ) -> None:
-        b = 1 << c
-        loose_back = 0
-        for i in h.vertex_edges[v]:
-            cnt[i] -= 1
-            if cnt[i] == 2 and not dead[i]:
-                loose_back += 1
-        for i in newly_dead:
-            dead[i] = False
-            if cnt[i] <= 2:
-                loose_back += 1
-        for i in bit_set:
-            mask[i] ^= b
-        for u, mc, delta in reversed(demand_ops):
-            bump(u, mc, -delta)
-        state["loose_total"] += loose_back
-        state["dead_total"] -= len(newly_dead)
-        state["cross_total"] -= new_cross
-
-    def dfs(pos: int, used: int) -> None:
-        if state["done"]:
+        if best["value"] == m:
             return
         ticker.tick()
-        bound = state["cross_total"] + state["demand_total"] + state["loose_total"]
-        if bound <= state["best"]:
+        cross = (a4 & ~dead).bit_count()
+        bound = cross + m - (a3 | dead).bit_count()
+        open3 = a3 & ~(a4 | dead)
+        for u in order[pos:]:
+            owed = ve[u] & open3
+            if owed:
+                bound += max((owed & ~sc).bit_count() for sc in s)
+        if bound <= best["value"]:
             return
-        if pos == n:
-            if state["cross_total"] > state["best"]:
-                state["best"] = state["cross_total"]
-                state["best_assign"] = tuple(assign)
-                if state["best"] == m:
-                    state["done"] = True
+        if pos == n:  # every edge is assigned, so the bound is the crossing count
+            best["value"] = cross
+            best["assign"] = tuple(assign)
             return
         v = order[pos]
+        e = ve[v]
         limit = min(used + 1, 4) if use_symmetry else 4
         for c in range(limit):
             assign[v] = c
-            saved = apply(v, c)
-            dfs(pos + 1, max(used, c + 1))
-            undo(v, c, *saved)
-            assign[v] = -1
+            sc = s[c]
+            dfs(
+                pos + 1,
+                max(used, c + 1),
+                s[:c] + (sc | e,) + s[c + 1:],
+                a1 | e,
+                a2 | (a1 & e),
+                a3 | (a2 & e),
+                a4 | (a3 & e),
+                dead | (sc & e),
+            )
 
     budget_hit = False
     try:
-        dfs(0, 0)
+        dfs(0, 0, (0, 0, 0, 0), 0, 0, 0, 0, 0)
         completed = True
     except _BudgetExceeded:
         completed = False
         budget_hit = True
-    part = VertexPartition(4, tuple(state["best_assign"]))
     return SolveResult(
-        value=state["best"],
-        witness=part,
-        optimal=completed or state["done"],
+        value=best["value"],
+        witness=VertexPartition(4, tuple(best["assign"])),
+        optimal=completed or best["value"] == m,
         stats=SearchStats(nodes=ticker.nodes, elapsed=ticker.elapsed(), budget_hit=budget_hit),
     )
 

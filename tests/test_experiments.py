@@ -163,6 +163,31 @@ class TestConfig:
         assert cfg.constants.alpha == 0.5
 
 
+# fields whose wrong JSON type used to escape as AttributeError or TypeError
+_WRONG_TYPES = [
+    ("budget", 5),
+    ("p", "0.3"),
+    ("p", {"absolute": 0.3}),
+    ("n", 8),
+    ("constants", [1]),
+]
+
+
+@pytest.mark.parametrize("key,value", _WRONG_TYPES, ids=[f"{k}={v!r}" for k, v in _WRONG_TYPES])
+class TestWrongTypedField:
+    def test_config_error(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(base_doc(tmp_path, **{key: value}))
+
+    def test_cli_error_line(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(tmp_path, **{key: value})))
+        assert cli_main(["phase", "--config", str(cfg)]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
+
 class TestPhaseSweep:
     def test_complete_host_every_trial_identical(self, tmp_path):
         cfg = config_from_dict(base_doc(tmp_path, p={"absolute": [1.0]}, trials=3))
