@@ -121,11 +121,22 @@ class ExperimentConfig:
         return json.dumps(self.raw_dict(), sort_keys=True, separators=(",", ":"))
 
 
+_SHAPES = {"array": (list, tuple), "object": dict, "integer": int, "number": (int, float)}
+
+
 def _shaped(value, shape: str, name: str):
-    """value if it is of the JSON shape named ("array" or "object"); else ConfigError."""
-    if not isinstance(value, {"array": (list, tuple), "object": dict}[shape]):
+    """value if of the JSON shape named (a _SHAPES key, maybe + " or null"); else ConfigError."""
+    base = shape.removesuffix(" or null")
+    if value is None and base != shape:
+        return None
+    if isinstance(value, bool) or not isinstance(value, _SHAPES[base]):
         raise ConfigError(f"{name} must be a JSON {shape}, got {type(value).__name__}")
     return value
+
+
+def _items(value, shape: str, name: str) -> tuple:
+    """The items of the JSON array value, each of the JSON shape named; else ConfigError."""
+    return tuple(_shaped(x, shape, f"{name} item") for x in _shaped(value, "array", name))
 
 
 def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
@@ -136,19 +147,19 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     kind = doc.get("kind", kind)
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    n_values = tuple(int(x) for x in _shaped(doc.get("n", []), "array", "n"))
+    n_values = _items(doc.get("n", []), "integer", "n")
     if not n_values or any(x < 4 for x in n_values):
         raise ConfigError("n must be a non-empty list of integers >= 4")
-    k = int(doc.get("k", 4))
+    k = _shaped(doc.get("k", 4), "integer", "k")
     if k not in (2, 3, 4):
         raise ConfigError(f"k must be 2, 3, or 4, got {k}")
     pdoc = doc.get("p", {})
     if isinstance(pdoc, (list, tuple)):
         pdoc = {"absolute": pdoc}
     _shaped(pdoc, "object", "p")
-    p_abs = tuple(float(x) for x in _shaped(pdoc.get("absolute", []), "array", "p.absolute"))
+    p_abs = tuple(map(float, _items(pdoc.get("absolute", []), "number", "p.absolute")))
     p_mult = tuple(
-        float(x) for x in _shaped(pdoc.get("logn_multipliers", []), "array", "p.logn_multipliers")
+        map(float, _items(pdoc.get("logn_multipliers", []), "number", "p.logn_multipliers"))
     )
     if kind != "turan-table":
         if not p_abs and not p_mult:
@@ -157,7 +168,7 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError("absolute p values must lie in [0, 1]")
         if any(x < 0 for x in p_mult):
             raise ConfigError("log-n multipliers must be non-negative")
-    trials = int(doc.get("trials", 1))
+    trials = _shaped(doc.get("trials", 1), "integer", "trials")
     if trials < 1 and kind != "turan-table":
         raise ConfigError("trials must be >= 1")
     tier = doc.get("tier", "exact")
@@ -169,13 +180,12 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     consts = AuditConstants().with_overrides(
         **_shaped(doc.get("constants", {}) or {}, "object", "constants")
     )
-    threads = int(doc.get("threads", 1))
+    threads = _shaped(doc.get("threads", 1), "integer", "threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     build_label = str(doc.get("build_label", "unversioned"))
     if "\n" in build_label or "\r" in build_label:
         raise ConfigError("build_label must be a single line")
-    cap = doc.get("cap")
     # the worker count is execution infrastructure, not experiment semantics:
     # leaving it out of the echo keeps reruns under any --threads byte-identical
     raw = tuple(
@@ -190,18 +200,18 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         p_absolute=p_abs,
         p_logn_multipliers=p_mult,
         trials=trials,
-        master_seed=int(doc.get("master_seed", 0)),
+        master_seed=_shaped(doc.get("master_seed", 0), "integer", "master_seed"),
         tier=tier,
-        eps=float(doc.get("eps", 0.25)),
-        restarts=int(doc.get("restarts", 8)),
-        max_nodes=None if budget.get("max_nodes") is None else int(budget["max_nodes"]),
-        max_seconds=None if budget.get("max_seconds") is None else float(budget["max_seconds"]),
+        eps=float(_shaped(doc.get("eps", 0.25), "number", "eps")),
+        restarts=_shaped(doc.get("restarts", 8), "integer", "restarts"),
+        max_nodes=_shaped(budget.get("max_nodes"), "integer or null", "budget.max_nodes"),
+        max_seconds=_shaped(budget.get("max_seconds"), "number or null", "budget.max_seconds"),
         constants=consts,
         emit_timings=bool(doc.get("emit_timings", False)),
         build_label=build_label,
         threads=threads,
         out=str(doc.get("out", "mantelab-run")),
-        turan_cap=None if cap is None else int(cap),
+        turan_cap=_shaped(doc.get("cap"), "integer or null", "cap"),
         raw=raw,
     )
 

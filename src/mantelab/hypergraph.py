@@ -98,10 +98,10 @@ class Hypergraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as an (m, k) int64 array with ascending rows."""
-        if not self.edges:
-            return np.empty((0, self.k), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+        """Edges as a read-only (m, k) int64 array with ascending rows, in edge order."""
+        arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, self.k)
+        arr.setflags(write=False)
+        return arr
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -210,6 +210,14 @@ class PairGraph:
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def _from_rows(n: int, k: int, rows: np.ndarray) -> Hypergraph:
+    """Hypergraph of distinct ascending int64 rows in lex order; the rows become its edge_array."""
+    g = Hypergraph(n, k, tuple(zip(*rows.T.tolist())))
+    rows.setflags(write=False)
+    g.__dict__["edge_array"] = rows
+    return g
 
 
 def build_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:

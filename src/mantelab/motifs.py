@@ -127,9 +127,16 @@ def count_T(h: Hypergraph) -> int:
     return raw // 3 if h.k == 2 else raw
 
 
-def t_copy_triples(h: Hypergraph) -> list[tuple[int, int, int]]:
-    """All copies as ascending edge-id triples, each copy listed once."""
-    out = {tuple(sorted((i, j, l))) for i, j, l, *_ in _scan(h)}
+def t_copy_triples(h: Hypergraph, limit: int | None = None) -> list[tuple[int, int, int]]:
+    """All copies as ascending edge-id triples, each copy listed once.
+
+    Raises ValueError as soon as more than ``limit`` distinct copies are found.
+    """
+    out: set[tuple[int, int, int]] = set()
+    for i, j, l, *_ in _scan(h):
+        out.add(tuple(sorted((i, j, l))))
+        if limit is not None and len(out) > limit:
+            raise ValueError(f"more than {limit} generalized-triangle copies")
     return sorted(out)
 
 

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .hypergraph import (
     Edge,
@@ -226,7 +225,8 @@ class ConcentrationReport:
         }
 
 
-def _band_row(name: str, expected: float, omin: float, omax: float, eps: float) -> ConcentrationRow:
+def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> ConcentrationRow:
+    omin, omax = float(values.min()), float(values.max())
     passed = (1.0 - eps) * expected <= omin and omax <= (1.0 + eps) * expected
     return ConcentrationRow(name, expected, omin, omax, eps, True, passed)
 
@@ -246,54 +246,45 @@ def concentration_report(
     complementary classes all have at least n/80 vertices; other source
     classes are rescaled to the first class's expectation so a single band
     covers them (the rescale is the identity for equal class sizes).
+
+    Common degrees come from one bitset of completed cores per vertex, which
+    holds n * C(n, 3) / 8 bytes whatever p is (about 5.5 MB at n=128).
     """
     if g.k != 4:
         raise ValueError(f"concentration rows are defined for k=4, got k={g.k}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p={p} outside (0, 1] makes the bands degenerate")
     n = g.n
-    m = len(g.edges)
     ntrip = math.comb(n, 3)
     npair = math.comb(n, 2)
     c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
     c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
     E = g.edge_array
 
-    # colex rank of each edge's four 3-cores; the completion of a core is the
-    # vertex it leaves out, so core block c pairs with column c of E
-    core_ranks = np.concatenate(
-        [
-            c3[E[:, c[2]]] + c2[E[:, c[1]]] + E[:, c[0]]
-            for c in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-        ]
-    )
-    tcnt = np.bincount(core_ranks, minlength=ntrip)
+    # core block `drop` holds each edge's 3-core without column `drop`, which
+    # completes it; row u of `links` is the bitset over colex core ranks of the
+    # cores u completes, so popcount(links[u] & links[v]) is a common degree
+    links = np.zeros((n, -(-ntrip // 64)), dtype=np.uint64)
+    tcnt = np.zeros(ntrip, dtype=np.int64)
+    for drop in range(4):
+        lo, mid, hi = (E[:, c] for c in range(4) if c != drop)
+        ranks = c3[hi] + c2[mid] + lo
+        tcnt += np.bincount(ranks, minlength=ntrip)
+        bits = np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
+        np.bitwise_or.at(links, (E[:, drop], ranks >> 6), bits)
     pcnt = np.zeros(npair, dtype=np.int64)
     for lo, hi in combinations(range(4), 2):
         pcnt += np.bincount(c2[E[:, hi]] + E[:, lo], minlength=npair)
     dcnt = np.bincount(E.ravel(), minlength=n)
-
-    # common degree of every pair: co-occurrence of completions across cores
-    comps = E.T.ravel()
-    a = sparse.csr_matrix(
-        (np.ones(len(comps), dtype=np.float32), (core_ranks, comps)),
-        shape=(ntrip, n),
+    common = np.concatenate(
+        [np.bitwise_count(links[u] & links[u + 1:]).sum(axis=1) for u in range(n - 1)]
     )
-    dmat = (a.T @ a).toarray()
-    iu = np.triu_indices(n, k=1)
-    common = dmat[iu]
 
     rows = [
-        _band_row("triple_codegree", p * n, float(tcnt.min()), float(tcnt.max()), eps),
-        _band_row("pair_codegree", p / 2 * n * n, float(pcnt.min()), float(pcnt.max()), eps),
-        _band_row(
-            "pair_common_degree",
-            p * p / 6 * n**3,
-            float(common.min()),
-            float(common.max()),
-            eps,
-        ),
-        _band_row("vertex_degree", p / 6 * n**3, float(dcnt.min()), float(dcnt.max()), eps),
+        _band_row("triple_codegree", p * n, tcnt, eps),
+        _band_row("pair_codegree", p / 2 * n * n, pcnt, eps),
+        _band_row("pair_common_degree", p * p / 6 * n**3, common, eps),
+        _band_row("vertex_degree", p / 6 * n**3, dcnt, eps),
     ]
 
     cross_row = ConcentrationRow("crossing_degree", 0.0, None, None, eps, False, None)
@@ -310,12 +301,8 @@ def concentration_report(
         ]
         if applicable_src:
             a = np.asarray(part.assignment, dtype=np.int64)
-            if m:
-                bits = np.left_shift(1, a[E])
-                crossing = np.bitwise_or.reduce(bits, axis=1) == 0b1111
-                dpi = np.bincount(E[crossing].ravel(), minlength=n)
-            else:
-                dpi = np.zeros(n, dtype=np.int64)
+            crossing = np.bitwise_or.reduce(np.left_shift(1, a[E]), axis=1) == 0b1111
+            dpi = np.bincount(E[crossing].ravel(), minlength=n)
             e0 = p * prods[0]
             factor = np.array(
                 [e0 / (p * prods[i]) if i in applicable_src else np.nan for i in range(4)]
@@ -323,9 +310,7 @@ def concentration_report(
             scaled = dpi * factor[a]
             vals = scaled[~np.isnan(scaled)]
             if vals.size:
-                cross_row = _band_row(
-                    "crossing_degree", e0, float(vals.min()), float(vals.max()), eps
-                )
+                cross_row = _band_row("crossing_degree", e0, vals, eps)
     rows.append(cross_row)
     return ConcentrationReport(n=n, p=p, eps=eps, rows=tuple(rows))
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, VertexPartition
+from .hypergraph import Hypergraph, VertexPartition, _from_rows
 
 __all__ = [
     "TrialSeed",
@@ -100,6 +99,18 @@ def _unrank_batch(ranks: np.ndarray, k: int, n: int) -> np.ndarray:
     return cols
 
 
+def _host(n: int, k: int, ranks: np.ndarray) -> Hypergraph:
+    """The hypergraph whose edges have the given colex ranks, rows in lex order."""
+    rows = _unrank_batch(ranks, k, n)
+    # Lex order of the rows is descending colex order of their mirror images
+    # {n-1-v}, whose ranks fit in int64 whenever C(n, k) does: one argsort.
+    mirror = np.zeros(len(rows), dtype=np.int64)
+    for i in range(k):
+        tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
+        mirror += tab[n - 1 - rows[:, i]]
+    return _from_rows(n, k, rows[np.argsort(mirror)[::-1]])
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -121,10 +132,8 @@ def sample_gknp(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
     """
     _check_args(n, k, p)
     m = math.comb(n, k)
-    if p == 0.0:
-        return Hypergraph(n, k, ())
-    if p == 1.0:
-        return Hypergraph(n, k, tuple(combinations(range(n), k)))
+    if p == 0.0 or p == 1.0:
+        return _host(n, k, np.arange(m if p == 1.0 else 0, dtype=np.int64))
     rng = np.random.Generator(np.random.PCG64(seed.derived))
     log1mp = math.log1p(-p)
     batch = max(1024, int(p * m * 1.05) + 16)
@@ -140,12 +149,7 @@ def sample_gknp(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
         if len(inside) < len(pos_arr):
             break
         pos = int(pos_arr[-1])
-    ranks = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
-    if len(ranks) == 0:
-        return Hypergraph(n, k, ())
-    rows = _unrank_batch(ranks, k, n)
-    edges = tuple(sorted(map(tuple, rows.tolist())))
-    return Hypergraph(n, k, edges)
+    return _host(n, k, np.concatenate(taken))
 
 
 def sample_gknp_bernoulli(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
@@ -159,18 +163,10 @@ def sample_gknp_bernoulli(n: int, k: int, p: float, seed: TrialSeed) -> Hypergra
     m = math.comb(n, k)
     if m > 5 * 10**7:
         raise ValueError(f"universe of {m} subsets too large for the dense path")
-    if p == 0.0:
-        return Hypergraph(n, k, ())
-    if p == 1.0:
-        return Hypergraph(n, k, tuple(combinations(range(n), k)))
+    if p == 0.0 or p == 1.0:
+        return _host(n, k, np.arange(m if p == 1.0 else 0, dtype=np.int64))
     rng = np.random.Generator(np.random.PCG64(seed.derived))
-    mask = rng.random(m) < p
-    ranks = np.nonzero(mask)[0]
-    if len(ranks) == 0:
-        return Hypergraph(n, k, ())
-    rows = _unrank_batch(ranks, k, n)
-    edges = tuple(sorted(map(tuple, rows.tolist())))
-    return Hypergraph(n, k, edges)
+    return _host(n, k, np.nonzero(rng.random(m) < p)[0])
 
 
 def random_partition(n: int, r: int, seed: TrialSeed | int) -> VertexPartition:

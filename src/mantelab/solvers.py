@@ -21,7 +21,9 @@ from .hypergraph import (
     VertexPartition,
     _is_crossing,
 )
-from .motifs import count_T, t_copy_triples
+# count_T is not called here but stays an attribute of this module, where
+# perfbench/worker.py wraps the copy scans for its traced runs.
+from .motifs import count_T, t_copy_triples  # noqa: F401
 from .randgen import TrialSeed
 
 __all__ = [
@@ -106,10 +108,6 @@ class _Ticker:
 # local search over r-class vertex partitions
 
 
-def _crossing_flags(h: Hypergraph, assignment: list[int]) -> list[bool]:
-    return [_is_crossing(e, assignment) for e in h.edges]
-
-
 def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, list[int], int]:
     """Hill-climb single-vertex moves to a 1-move-optimal assignment.
 
@@ -117,7 +115,7 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, 
     (vertex, class).  Returns (value, assignment, moves).
     """
     a = list(assignment)
-    cross = _crossing_flags(h, a)
+    cross = [_is_crossing(e, a) for e in h.edges]
     value = sum(cross)
     moves = 0
     while True:
@@ -412,24 +410,19 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     deletion), built in copy-id order by lowest-set-bit extraction: take the
     lowest candidate (a, b, c), then clear ``cm[a] | cm[b] | cm[c]`` from
     the candidates.  Memory is O(edges * copies) bits, with no per-copy
-    conflict mask.  Instances with more than 10^7 copies are refused to
-    guard memory.
+    conflict mask.  Instances with more than 10^7 copies are refused
+    (ValueError) before more than that many are held, to guard memory.
     """
     t0 = time.monotonic()
-    total = count_T(h)
+    triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
     m = len(h.edges)
-    if total == 0:
+    if not triples:
         return SolveResult(
             value=m,
             witness=EdgeSet(h, frozenset(range(m))),
             optimal=True,
             stats=SearchStats(nodes=0, elapsed=time.monotonic() - t0, budget_hit=False),
         )
-    if total > MAX_COPIES_EXACT:
-        raise ValueError(
-            f"{total} copies exceed the exact-tier guard of {MAX_COPIES_EXACT}"
-        )
-    triples = t_copy_triples(h)
     rng = random.Random(0x5EED)
     greedy = _greedy_tfree(h, triples, None)
     crossing = _crossing_incumbent(h, rng, 3)

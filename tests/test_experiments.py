@@ -163,13 +163,29 @@ class TestConfig:
         assert cfg.constants.alpha == 0.5
 
 
-# fields whose wrong JSON type used to escape as AttributeError or TypeError
+# fields whose wrong JSON type used to escape as AttributeError or TypeError,
+# or to be accepted as a string ("trials": "2")
 _WRONG_TYPES = [
     ("budget", 5),
     ("p", "0.3"),
     ("p", {"absolute": 0.3}),
     ("n", 8),
     ("constants", [1]),
+    ("k", None),
+    ("k", "4"),
+    ("k", True),
+    ("n", [None]),
+    ("n", [8.5]),
+    ("p", {"absolute": ["0.3"]}),
+    ("p", {"logn_multipliers": [None]}),
+    ("trials", "2"),
+    ("threads", 1.5),
+    ("master_seed", "9"),
+    ("restarts", None),
+    ("eps", "0.25"),
+    ("cap", "3"),
+    ("budget", {"max_nodes": "x"}),
+    ("budget", {"max_seconds": "1"}),
 ]
 
 

@@ -138,6 +138,29 @@ class TestCount:
             for i, j, l in trips:
                 assert is_triangle_triple(h.edges[i], h.edges[j], h.edges[l], k)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_copy_triples_limit(self, monkeypatch, k):
+        import mantelab.motifs
+
+        h = complete_hypergraph(2 * k + 2, k)
+        trips = t_copy_triples(h)
+        assert len(trips) > 10
+        assert t_copy_triples(h, limit=len(trips)) == trips
+        scanned = 0
+        scan = mantelab.motifs._scan
+
+        def counting_scan(g):
+            nonlocal scanned
+            for item in scan(g):
+                scanned += 1
+                yield item
+
+        monkeypatch.setattr(mantelab.motifs, "_scan", counting_scan)
+        with pytest.raises(ValueError, match="more than 10 "):
+            t_copy_triples(h, limit=10)
+        # the scan stops at the 11th distinct copy (k=2 finds each copy 3 times)
+        assert scanned <= (3 * 11 if k == 2 else 11)
+
 
 class TestThroughEdges:
     def test_all_edges(self):

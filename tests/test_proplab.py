@@ -138,10 +138,18 @@ class TestConcentration:
         assert rep.all_pass == all(r.passed for r in rep.rows if r.applicable)
 
     def test_rows_match_naive_scan(self, rng):
+        hosts = []
         for _ in range(8):
             n = rng.randint(8, 12)
             h = random_hypergraph(rng, n, 4, p=rng.uniform(0.3, 0.8))
-            part = random_vertex_partition(rng, n, 4)
+            hosts.append((h, random_vertex_partition(rng, n, 4)))
+        # the core bitsets span many words, and C(n, 3) is not a multiple of 64:
+        # one host sampled as an array, one built from tuples
+        hosts.append((sample_gknp(24, 4, 0.3, derive_seed(24, 0)), equal_parts(24)))
+        edges21 = [e for e in combinations(range(21), 4) if (7 * e[0] + 3 * e[1] + e[3]) % 3]
+        hosts.append((build_hypergraph(21, 4, edges21), random_vertex_partition(rng, 21, 4)))
+        for h, part in hosts:
+            n = h.n
             rep = concentration_report(h, 0.5, part, 0.25)
 
             triples = [

@@ -2,6 +2,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +134,32 @@ class TestBernoulliGenerator:
         sigma = math.sqrt(m * p * (1 - p))
         assert abs(sum(a) / trials - p * m) <= 4 * sigma / math.sqrt(trials)
         assert abs(sum(b) / trials - p * m) <= 4 * sigma / math.sqrt(trials)
+
+
+@pytest.mark.parametrize("sampler", [sample_gknp, sample_gknp_bernoulli])
+class TestSampledArray:
+    """Sampled hosts carry their edges as a read-only array in edge order."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_array_matches_edge_tuples(self, sampler, k, p):
+        g = sampler(k + 6, k, p, derive_seed(17, k))
+        arr = g.edge_array
+        assert arr.dtype == np.int64 and arr.shape == (len(g.edges), k)
+        assert np.array_equal(arr, np.asarray(g.edges, dtype=np.int64).reshape(-1, k))
+        assert list(g.edges) == sorted(set(g.edges))  # lex order, no duplicates
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0:1] = 0
+
+
+def test_lex_order_where_base_n_key_overflows():
+    # a base-n key of a 5-subset of 6300 vertices overflows int64 (6300**5 > 2**63)
+    g = sample_gknp(6300, 5, 1e-15, derive_seed(3, 1))
+    assert len(g.edges) > 10
+    assert list(g.edges) == sorted(set(g.edges))
+    assert np.array_equal(g.edge_array, np.asarray(g.edges, dtype=np.int64))
 
 
 class TestRandomPartition:

@@ -67,6 +67,17 @@ def brute_force_cut4(h) -> int:
 
 
 class TestTfreeExact:
+    def test_copy_guard_raises(self, monkeypatch):
+        import mantelab.solvers
+
+        h = complete_hypergraph(7, 4)
+        copies = count_T(h)
+        monkeypatch.setattr(mantelab.solvers, "MAX_COPIES_EXACT", copies - 1)
+        with pytest.raises(ValueError, match=f"more than {copies - 1} "):
+            max_tfree_exact(h)
+        monkeypatch.setattr(mantelab.solvers, "MAX_COPIES_EXACT", copies)
+        assert max_tfree_exact(h).optimal
+
     def test_pattern_needs_one_deletion(self):
         res = max_tfree_exact(generalized_triangle(4))
         assert res.value == 2 and res.optimal
