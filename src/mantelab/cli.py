@@ -1,16 +1,16 @@
 """Command-line front end for the experiment harness.
 
 Subcommands: generate, solve, phase, concentration, audit, turan-table,
-fmt-roundtrip.  Experiments take a single JSON config file plus --seed,
---out, and --threads overrides; MANTELAB_THREADS sets the default worker
-count.  Exit codes: 0 clean, 2 partial (cells skipped), 1 failed.
+fmt-roundtrip.  Experiments take a single JSON config file plus --seed and
+--out overrides, and run their trials serially in trial order; --threads is
+accepted and ignored.  Exit codes: 0 clean, 2 partial (cells skipped), 1
+failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiments
@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override master_seed")
         sp.add_argument("--out", default=None, help="override output path")
-        sp.add_argument("--threads", type=int, default=None, help="override worker count")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: trials run serially")
 
     fmt = sub.add_parser("fmt-roundtrip", help="canonicalize a hypergraph file and verify stability")
     fmt.add_argument("--in", dest="path", required=True)
@@ -119,10 +120,6 @@ def _run_experiment(command: str, args) -> int:
         doc["master_seed"] = args.seed
     if args.out is not None:
         doc["out"] = args.out
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MANTELAB_THREADS", doc.get("threads", 1)))
-    doc["threads"] = threads
     cfg = experiments.config_from_dict(doc)
     outcome = experiments.run_experiment(cfg)
     for path in outcome.files:

@@ -1,8 +1,7 @@
 """Experiment harness: config parsing, trial orchestration, and CSV/JSON output.
 
 Runs are fully deterministic: every row is a pure function of (config, master
-seed), trials own derived seeds, and a worker pool only reorders execution,
-never output, because rows are buffered and written in trial-index order.
+seed), trials own derived seeds, and trials run serially in trial-index order.
 Wall-clock columns would break byte-identical reruns, so timing columns are
 emitted only when the config sets ``emit_timings`` (excluded from the
 determinism contract); stage timings are otherwise dropped.
@@ -10,9 +9,9 @@ determinism contract); stage timings are otherwise dropped.
 Phase sweeps, concentration studies and audits share one trial pipeline,
 ``_run_trials``: it plans the trials (cells, tier caps, and the global seed
 indices that capped cells still use up), samples each host and times it,
-turns a ``ValueError`` into a ``skip`` row, maps the trials over the worker
-pool, assembles trial, skip and summary rows, and writes the CSV (and, for
-audits, the JSON).  A ``_TrialKind`` supplies the rest as data: the kind's
+turns a ``ValueError`` into a ``skip`` row, runs the trials one after another,
+assembles trial, skip and summary rows, and writes the CSV (and, for audits,
+the JSON).  A ``_TrialKind`` supplies the rest as data: the kind's
 columns, its per-trial stages and its cell summary.
 
 Every CSV starts with a ``#``-prefixed header block carrying the schema
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
@@ -99,7 +97,6 @@ class ExperimentConfig:
     constants: AuditConstants
     emit_timings: bool
     build_label: str
-    threads: int
     out: str
     turan_cap: int | None
     raw: tuple[tuple[str, str], ...]  # canonical echo of the input document
@@ -121,7 +118,8 @@ class ExperimentConfig:
         return json.dumps(self.raw_dict(), sort_keys=True, separators=(",", ":"))
 
 
-_SHAPES = {"array": (list, tuple), "object": dict, "integer": int, "number": (int, float)}
+_SHAPES = {"array": (list, tuple), "object": dict, "integer": int, "number": (int, float),
+           "boolean": bool, "string": str}
 
 
 def _shaped(value, shape: str, name: str):
@@ -129,7 +127,8 @@ def _shaped(value, shape: str, name: str):
     base = shape.removesuffix(" or null")
     if value is None and base != shape:
         return None
-    if isinstance(value, bool) or not isinstance(value, _SHAPES[base]):
+    # bool is an int subclass: only the boolean shape takes it
+    if isinstance(value, bool) != (base == "boolean") or not isinstance(value, _SHAPES[base]):
         raise ConfigError(f"{name} must be a JSON {shape}, got {type(value).__name__}")
     return value
 
@@ -177,17 +176,19 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     if kind in ("phase-sweep", "audit") and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
     budget = _shaped(doc.get("budget", {}) or {}, "object", "budget")
-    consts = AuditConstants().with_overrides(
-        **_shaped(doc.get("constants", {}) or {}, "object", "constants")
-    )
-    threads = _shaped(doc.get("threads", 1), "integer", "threads")
-    if threads < 1:
+    try:
+        consts = AuditConstants().with_overrides(
+            **_shaped(doc.get("constants", {}) or {}, "object", "constants")
+        )
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"constants.{exc}") from None
+    # trials run serially: existing configs may still set "threads", which is
+    # checked, then ignored and left out of the echo
+    if _shaped(doc.get("threads", 1), "integer", "threads") < 1:
         raise ConfigError("threads must be >= 1")
-    build_label = str(doc.get("build_label", "unversioned"))
+    build_label = _shaped(doc.get("build_label", "unversioned"), "string", "build_label")
     if "\n" in build_label or "\r" in build_label:
         raise ConfigError("build_label must be a single line")
-    # the worker count is execution infrastructure, not experiment semantics:
-    # leaving it out of the echo keeps reruns under any --threads byte-identical
     raw = tuple(
         (key, json.dumps(value, sort_keys=True, separators=(",", ":")))
         for key, value in sorted(doc.items())
@@ -207,10 +208,9 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         max_nodes=_shaped(budget.get("max_nodes"), "integer or null", "budget.max_nodes"),
         max_seconds=_shaped(budget.get("max_seconds"), "number or null", "budget.max_seconds"),
         constants=consts,
-        emit_timings=bool(doc.get("emit_timings", False)),
+        emit_timings=_shaped(doc.get("emit_timings", False), "boolean", "emit_timings"),
         build_label=build_label,
-        threads=threads,
-        out=str(doc.get("out", "mantelab-run")),
+        out=_shaped(doc.get("out", "mantelab-run"), "string", "out"),
         turan_cap=_shaped(doc.get("cap"), "integer or null", "cap"),
         raw=raw,
     )
@@ -263,18 +263,6 @@ def _csv_text(
 def _write(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
-
-
-def _pool_map(items: list, fn: Callable, threads: int) -> list:
-    """Run fn over items on a worker pool; results ordered by item index."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    results: dict[int, object] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return [results[i] for i in range(len(items))]
 
 
 def _out_base(cfg: ExperimentConfig) -> str:
@@ -365,7 +353,7 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
         times = [_fmt(b - a) for a, b in zip(laps, laps[1:])] if cfg.emit_timings else []
         return n, p, row + cells + times, payload
 
-    results = _pool_map(items, one, cfg.threads)
+    results = [one(item) for item in items]
     rows = [row for _, _, row, _ in results]
     rows += [skip_row(n, p, "", reason) for n, p, reason in skipped_cells]
     payloads = [payload for _, _, _, payload in results if payload is not None]
@@ -589,7 +577,7 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
             _fmt(res.value), _fmt(res.optimal), _fmt(tcount), equality, equality,
         ]
 
-    rows = _pool_map(sorted(cfg.n_values), one, cfg.threads)
+    rows = [one(n) for n in sorted(cfg.n_values)]
     path = _out_base(cfg) + ".csv"
     _write(path, _csv_text(cfg, "turan_table", columns, rows))
     return RunOutcome(EXIT_CLEAN, (path,), f"{len(rows)} hosts")

@@ -152,10 +152,17 @@ def t_through_edges(h: Hypergraph, b: EdgeSet) -> int:
 
 
 def _certifiers(
-    b1_edges: Iterable[Edge], part: VertexPartition
+    g: Hypergraph, part: VertexPartition, b1: EdgeSet | Iterable[Iterable[int]]
 ) -> dict[Pair, list[frozenset[int]]]:
+    """Per first-class pair, the anchor edges holding it; ValueError on a bad anchor edge."""
+    _check_partition(g, part)
+    edges = b1.edges if isinstance(b1, EdgeSet) else [tuple(sorted(e)) for e in b1]
     cert: dict[Pair, list[frozenset[int]]] = {}
-    for idx, e in enumerate(b1_edges):
+    for idx, e in enumerate(edges):
+        if len(e) != g.k or len(set(e)) != g.k:
+            raise ValueError(f"edge {idx} of the anchor set is not a {g.k}-set: {e}")
+        if e[0] < 0 or e[-1] >= g.n:
+            raise ValueError(f"edge {idx} of the anchor set out of range: {e}")
         first = sorted(v for v in e if part.class_of(v) == 0)
         if len(first) < 2:
             raise ValueError(
@@ -193,14 +200,7 @@ def count_gadgets(
     (existential, not summed over W).  Pairs with no certifying edge are
     absent from the map.
     """
-    _check_partition(g, part)
-    edges = b1.edges if isinstance(b1, EdgeSet) else [tuple(sorted(e)) for e in b1]
-    for idx, e in enumerate(edges):
-        if len(e) != g.k or len(set(e)) != g.k:
-            raise ValueError(f"edge {idx} of the anchor set is not a {g.k}-set: {e}")
-        if e[0] < 0 or e[-1] >= g.n:
-            raise ValueError(f"edge {idx} of the anchor set out of range: {e}")
-    cert = _certifiers(edges, part)
+    cert = _certifiers(g, part, b1)
     anchors = {w for pr in cert for w in pr}
     rem = _crossing_remainders(g, part, anchors)
     out: dict[Pair, int] = {}
@@ -223,9 +223,7 @@ def gadget_witness(
     pair: Pair,
 ) -> MotifWitness | None:
     """One witness gadget for the given anchor pair, or None."""
-    _check_partition(g, part)
-    edges = b1.edges if isinstance(b1, EdgeSet) else [tuple(sorted(e)) for e in b1]
-    cert = _certifiers(edges, part)
+    cert = _certifiers(g, part, b1)
     pr = tuple(sorted(pair))
     if pr not in cert:
         return None

@@ -132,10 +132,9 @@ class AuditConstants:
         }
         for key, value in kw.items():
             if key not in base:
-                raise ValueError(f"unknown constant {key!r}")
-            if key in ("eps1", "eps2", "delta", "eps3", "alpha_prime", "gamma_formula"):
-                value = value if value is None else _as_fraction(value)
-            base[key] = value
+                raise ValueError(f"{key} is not an overridable constant")
+            # None re-derives a derived constant (the ones whose base is None)
+            base[key] = None if value is None and base[key] is None else _override(key, value)
         return AuditConstants(**base)
 
     def to_json_dict(self) -> dict:
@@ -156,12 +155,21 @@ class AuditConstants:
         }
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
+_EXACT_CONSTANTS = ("eps1", "eps2", "delta", "eps3", "alpha_prime", "gamma_formula")
+
+
+def _override(key: str, value):
+    """value as constant ``key`` stores it: a real number, or for an exact
+    constant also a rational string such as "1/4200"; else ValueError naming key."""
+    exact = key in _EXACT_CONSTANTS
+    kinds = (int, float, Fraction, str) if exact else (int, float, Fraction)
+    try:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError
+        return Fraction(str(value)) if exact else value
+    except (ValueError, ZeroDivisionError):
+        wanted = "a number or a rational string" if exact else "a number"
+        raise ValueError(f"{key} must be {wanted}, got {value!r}") from None
 
 
 def chernoff_c(eps: float) -> float:

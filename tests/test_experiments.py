@@ -186,6 +186,10 @@ _WRONG_TYPES = [
     ("cap", "3"),
     ("budget", {"max_nodes": "x"}),
     ("budget", {"max_seconds": "1"}),
+    ("emit_timings", "false"),
+    ("build_label", None),
+    ("out", None),
+    ("constants", {"alpha": "x"}),
 ]
 
 

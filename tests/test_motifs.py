@@ -223,6 +223,22 @@ class TestGadgets:
         with pytest.raises(ValueError, match="at least 2"):
             count_gadgets(g, equal_parts_16(), [(0, 4, 8, 12)])
 
+    @pytest.mark.parametrize("anchor", [(0, 1, 2, 9), (0, 1, 1, 2), (-1, 0, 2, 3)])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda g, part, b1: count_gadgets(g, part, b1),
+            lambda g, part, b1: gadget_witness(g, part, b1, (0, 1)),
+        ],
+        ids=["count_gadgets", "gadget_witness"],
+    )
+    def test_bad_anchor_edge(self, fn, anchor):
+        # 0, 1, 2 share the first class, so only the anchor's shape is wrong
+        g = complete_hypergraph(8, 4)
+        part = VertexPartition(4, (0, 0, 0, 1, 1, 2, 2, 3))
+        with pytest.raises(ValueError, match="anchor set"):
+            fn(g, part, [anchor])
+
     def test_existential_not_summed(self):
         # two certifying edges around the same pair: a triple avoided by either counts once
         g = complete_hypergraph(16, 4)
