@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -257,6 +258,71 @@ class TestCut4ExactGolden:
         assert res.optimal is optimal
         assert res.stats.nodes == nodes
         assert res.stats.budget_hit is (not optimal)
+
+
+def _sha(rows) -> str:
+    return hashlib.sha256(";".join(",".join(map(str, r)) for r in rows).encode()).hexdigest()
+
+
+# Heuristic-tier outputs recorded from the tuple-scan copy enumerator and the
+# list-based greedy and local cut; a rewrite that keeps each tie-breaking rule
+# must reproduce them exactly: (host, copies, sha256 of the copy rows,
+# repair value, sha256 of the repair witness ids, repair nodes, local cut
+# (value, assignment, moves)).  The local cut is max_cut4_local for k = 4 and
+# the r = k local search behind the repair's crossing incumbent otherwise.
+_GOLDEN_HEURISTIC = [
+    ("gknp-10-0.3-0", 724, "7aa8e9f8cf70772287a0f467f43a8dafca80d3dca0bb3955eb5813715b34d4ce",
+     25, "987d5239553a660715f9cc64c5cf694d1dc87b6ea29a82cdb9fbd6729813de72", 40,
+     (19, (3, 0, 0, 2, 1, 1, 0, 3, 1, 2), 12)),
+    ("gknp-12-0.3-0", 4523, "2fae593954c993eb85a4bd9d9d92227e02935c986b503fd7ec08918d1b1509cd",
+     40, "5f90b1507c73bcaa9a060e7ff1d92cf1a596b080fb528dd44a9720a7bd2d95c5", 110,
+     (35, (2, 0, 2, 3, 1, 0, 0, 1, 1, 3, 3, 2), 16)),
+    ("gknp-12-0.3-1", 4746, "9c6da92239894a660c42c9765dfb56f5be0efddc2908e6fba4a82eec3f7f931b",
+     39, "37239ed30e9424334e06f2833ca46ff743a3fd5dfffc12371b352b713c46dd20", 113,
+     (34, (2, 1, 1, 3, 1, 3, 0, 2, 0, 0, 1, 2), 14)),
+    ("gknp-14-0.3-0", 19841, "6f0c3955a53b26a7372496d06728cbd89557b365bf4d9e700025721cf0f5eb67",
+     66, "4fb4d2eed453e885b9713610865ba56931514b40cb08deb03421a7c9ed4c29a2", 238,
+     (66, (3, 1, 2, 1, 0, 1, 3, 3, 0, 2, 2, 3, 0, 0), 24)),
+    ("gknp-14-0.3-1", 18169, "6b80d4112f0455e48678087cb393965766ea7d94fb34bd9cbc11d708cb60a71d",
+     67, "4998957073d021750ecc6205470e22173990658565eefdb01306b595e69cade2", 228,
+     (67, (1, 2, 0, 3, 0, 3, 2, 3, 3, 1, 1, 2, 0, 2), 23)),
+    ("random-k2", 20, "7c371fc1acc7d6758a5c9a06390b94c77d4517a36765b5e0b116b272ff1aa038",
+     16, "e07ec52eab3bdea277d123f681d2770054d40202531e828c2483a265a98e8bf1", 6,
+     (15, (1, 0, 1, 1, 0, 1, 1, 0, 0), 6)),
+    ("random-k3", 245, "682123b81f0f1277d251bd9a6b8cd814e3ac83e20600da0672f17287bb4c934f",
+     15, "41b3b095d6bc2f49731e1658f6b728812a8483d8230533330df83bbace37b398", 15,
+     (14, (1, 0, 2, 0, 0, 1, 2, 1), 10)),
+    ("complete-9", 7560, "3146a5516f1e74b7975632743311aef437ad4e016a4da3e1f8f478958396b796",
+     33, "09159d96704546e431c05ded921932c1916f94a2eda102027e902f9747c939ec", 93,
+     (24, (0, 1, 2, 3, 0, 1, 2, 3, 0), 3)),
+]
+
+
+class TestHeuristicGolden:
+    @pytest.mark.parametrize(
+        "name,copies,copies_sha,value,witness_sha,nodes,local",
+        _GOLDEN_HEURISTIC,
+        ids=[g[0] for g in _GOLDEN_HEURISTIC],
+    )
+    def test_outputs_unchanged(self, name, copies, copies_sha, value, witness_sha, nodes, local):
+        from mantelab.motifs import t_copy_triples
+        from mantelab.solvers import _kpartite_local
+
+        h = _golden_host(name)
+        seed = derive_seed(17, 99)
+        trips = t_copy_triples(h)
+        assert len(trips) == copies
+        assert _sha(np.asarray(trips).reshape(-1, 3).tolist()) == copies_sha
+        rep = max_tfree_repair(h, seed, restarts=4)
+        assert rep.value == value
+        assert _sha([sorted(rep.witness.indices)]) == witness_sha
+        assert rep.stats.nodes == nodes
+        if h.k == 4:
+            loc = max_cut4_local(h, seed, restarts=4)
+            got = (loc.value, loc.witness.assignment, loc.stats.nodes)
+        else:
+            got = _kpartite_local(h, h.k, random.Random(seed.derived), 4)
+        assert got == local
 
 
 class TestTfreeRepair:
