@@ -138,11 +138,27 @@ def _items(value, shape: str, name: str) -> tuple:
     return tuple(_shaped(x, shape, f"{name} item") for x in _shaped(value, "array", name))
 
 
+_KEYS = {
+    "": ("kind", "n", "k", "p", "trials", "master_seed", "tier", "eps", "restarts", "budget",
+         "constants", "threads", "emit_timings", "build_label", "out", "cap"),
+    "p.": ("absolute", "logn_multipliers"),
+    "budget.": ("max_nodes", "max_seconds"),
+}
+
+
+def _known_keys(doc: dict, prefix: str) -> dict:
+    """doc if every key is one of _KEYS[prefix]; else ConfigError naming the first other key."""
+    unknown = sorted(set(doc) - set(_KEYS[prefix]))
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+    return doc
+
+
 def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before any trial runs."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    doc = dict(doc)
+    doc = dict(_known_keys(doc, ""))
     kind = doc.get("kind", kind)
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -155,7 +171,7 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     pdoc = doc.get("p", {})
     if isinstance(pdoc, (list, tuple)):
         pdoc = {"absolute": pdoc}
-    _shaped(pdoc, "object", "p")
+    _known_keys(_shaped(pdoc, "object", "p"), "p.")
     p_abs = tuple(map(float, _items(pdoc.get("absolute", []), "number", "p.absolute")))
     p_mult = tuple(
         map(float, _items(pdoc.get("logn_multipliers", []), "number", "p.logn_multipliers"))
@@ -175,10 +191,10 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"tier must be 'exact' or 'heuristic', got {tier!r}")
     if kind in ("phase-sweep", "audit") and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
-    budget = _shaped(doc.get("budget", {}) or {}, "object", "budget")
+    budget = _known_keys(_shaped(doc.get("budget", {}), "object", "budget"), "budget.")
     try:
         consts = AuditConstants().with_overrides(
-            **_shaped(doc.get("constants", {}) or {}, "object", "constants")
+            **_shaped(doc.get("constants", {}), "object", "constants")
         )
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"constants.{exc}") from None

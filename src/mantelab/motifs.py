@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .hypergraph import (
     Edge,
     EdgeSet,
@@ -72,72 +74,118 @@ def generalized_triangle(k: int) -> Hypergraph:
     return Hypergraph(2 * k - 1, k, tuple(sorted((e1, e2, e3))))
 
 
-def _pair_to_edges(h: Hypergraph) -> dict[Pair, list[int]]:
-    idx: dict[Pair, list[int]] = {}
-    for i, e in enumerate(h.edges):
-        for pr in combinations(e, 2):
-            idx.setdefault(pr, []).append(i)
-    return idx
+# Raw copy rows held per block, unless one core pair alone has more.
+_BLOCK_ROWS = 1 << 15
+# Hosts with this many edges sort copies as rows: (i * m + j) * m + l < 2**63 needs m < 2**21.
+_KEY_MAX_M = 1 << 21
 
 
-def _scan(h: Hypergraph) -> Iterator[tuple[int, int, int, tuple[int, ...], Pair, tuple[int, ...]]]:
-    """Yield (i, j, l, core, apex, tails) for every discovered configuration.
+def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
+    """Yield (r, 3) int64 blocks of raw copy rows (i, j, l), every copy exactly once.
 
-    Every copy with k >= 3 is produced exactly once; with k == 2 each triangle
-    is produced three times (once per choice of shared vertex).
+    Edges i = core + a and j = core + b share the (k-1)-set core, and the
+    tail edge l holds the apex pair a < b and misses the core.  Rows come
+    cores ascending, then (a, b) ascending, then l ascending.  For k == 2
+    only cores below a are expanded, so each triangle is found once, from
+    its lowest vertex.  A block expands consecutive core pairs, as many as
+    keep it within ``_BLOCK_ROWS`` rows at the largest pair codegree.
     """
     if h.k not in _SUPPORTED_K:
         raise ValueError(f"unsupported uniformity k={h.k}; supported: {_SUPPORTED_K}")
-    if len(h.edges) < 3:
+    n, k, e = h.n, h.k, h.edge_array
+    if len(e) < 3:
         return
-    pair_idx = _pair_to_edges(h)
-    for core, comp in h.cores.items():
-        if len(comp) < 2:
-            continue
-        core_set = set(core)
-        for a, b in combinations(comp, 2):
-            e1 = tuple(sorted(core + (a,)))
-            e2 = tuple(sorted(core + (b,)))
-            i = h.edge_ids[e1]
-            j = h.edge_ids[e2]
-            for l in pair_idx.get((a, b), ()):
-                e3 = h.edges[l]
-                if core_set.intersection(e3):
-                    continue
-                tails = tuple(x for x in e3 if x != a and x != b)
-                yield i, j, l, core, (a, b), tails
+    # one entry per (edge, dropped position): the core, its apex and the edge,
+    # grouped by core and ascending by apex within a group
+    core = e[:, [[c for c in range(k) if c != d] for d in range(k)]].reshape(-1, k - 1)
+    apex = e.reshape(-1)
+    key = core @ (n ** np.arange(k - 2, -1, -1))
+    order = np.lexsort((apex, key))
+    core, apex, key, eid = core[order], apex[order], key[order], order // k
+    group = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    size = np.diff(np.concatenate((group, [len(key)])))
+    # core pair q pairs entry x with a later entry of its group; x has
+    # partners[x] of them, and the pairs before x number done[x]
+    partners = np.repeat(group + size - 1, size) - np.arange(len(key))
+    if k == 2:
+        partners[core[:, 0] >= apex] = 0
+    done = np.concatenate(([0], np.cumsum(partners)))
+    # pair -> edges holding it, ascending edge id per pair, with each edge's
+    # other k - 2 vertices
+    pairs = list(combinations(range(k), 2))
+    pair_key = np.stack([e[:, u] * n + e[:, v] for u, v in pairs], axis=1).reshape(-1)
+    by_pair = np.argsort(pair_key, kind="stable")
+    pair_key, pair_edge = pair_key[by_pair], by_pair // len(pairs)
+    rest = e[:, [[c for c in range(k) if c not in pr] for pr in pairs]]
+    rest = rest.reshape(len(pair_key), k - 2)[by_pair]
+    step = max(1, _BLOCK_ROWS // int(np.unique(pair_key, return_counts=True)[1].max()))
+
+    for q0 in range(0, int(done[-1]), step):
+        q = np.arange(q0, min(q0 + step, int(done[-1])))
+        x = np.searchsorted(done, q, "right") - 1
+        y = x + 1 + q - done[x]
+        held = apex[x] * n + apex[y]
+        lo = np.searchsorted(pair_key, held, "left")
+        cnt = np.searchsorted(pair_key, held, "right") - lo
+        src = np.repeat(np.arange(len(q)), cnt)
+        at = lo[src] + np.arange(len(src)) - (np.cumsum(cnt) - cnt)[src]
+        x, y = x[src], y[src]
+        # drop the tail edges whose other vertices meet the core
+        tails, cx = rest[at], core[x]
+        ok = np.ones(len(at), dtype=bool)
+        for t in range(k - 2):
+            for c in range(k - 1):
+                ok &= tails[:, t] != cx[:, c]
+        yield np.stack((eid[x[ok]], eid[y[ok]], pair_edge[at[ok]]), axis=1)
 
 
 def find_T(h: Hypergraph) -> MotifWitness | None:
     """A witness copy of the triangle pattern if one exists, else None."""
-    for i, j, l, core, apex, tails in _scan(h):
-        return MotifWitness(
-            kind=KIND_TRIANGLE,
-            edges=(h.edges[i], h.edges[j], h.edges[l]),
-            core=core,
-            apex=apex,
-            tails=tails,
-        )
+    for rows in _copy_blocks(h):
+        if len(rows):
+            e1, e2, e3 = (h.edges[x] for x in rows[0].tolist())
+            core = tuple(sorted(set(e1) & set(e2)))
+            (a,), (b,) = set(e1) - set(core), set(e2) - set(core)
+            return MotifWitness(
+                kind=KIND_TRIANGLE,
+                edges=(e1, e2, e3),
+                core=core,
+                apex=(a, b),
+                tails=tuple(x for x in e3 if x != a and x != b),
+            )
     return None
 
 
 def count_T(h: Hypergraph) -> int:
     """Number of distinct edge triples forming a copy of the pattern."""
-    raw = sum(1 for _ in _scan(h))
-    return raw // 3 if h.k == 2 else raw
+    return sum(len(rows) for rows in _copy_blocks(h))
 
 
-def t_copy_triples(h: Hypergraph, limit: int | None = None) -> list[tuple[int, int, int]]:
-    """All copies as ascending edge-id triples, each copy listed once.
+def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
+    """All copies as a (C, 3) int64 array of ascending edge-id rows in lex order.
 
-    Raises ValueError as soon as more than ``limit`` distinct copies are found.
+    Raises ValueError at the first block of copies that takes the count past
+    ``limit``; at that point at most ``limit`` copies plus one block are
+    held, as one int64 sort key (i * m + j) * m + l per copy, or as rows
+    when m >= ``_KEY_MAX_M`` and that key could overflow.
     """
-    out: set[tuple[int, int, int]] = set()
-    for i, j, l, *_ in _scan(h):
-        out.add(tuple(sorted((i, j, l))))
-        if limit is not None and len(out) > limit:
-            raise ValueError(f"more than {limit} generalized-triangle copies")
-    return sorted(out)
+    m = len(h.edges)
+    wide = m >= _KEY_MAX_M
+    held = []
+    total = 0
+    for rows in _copy_blocks(h):
+        rows.sort(axis=1)
+        held.append(rows if wide else (rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2])
+        total += len(rows)
+        if limit is not None and total > limit:
+            raise ValueError(f"copy guard: more than {limit} generalized-triangle copies")
+    if not held:
+        return np.empty((0, 3), dtype=np.int64)
+    if wide:
+        rows = np.concatenate(held)
+        return rows[np.lexsort(rows.T[::-1])]
+    key = np.sort(np.concatenate(held))
+    return np.stack((key // (m * m), key // m % m, key % m), axis=1)
 
 
 def t_through_edges(h: Hypergraph, b: EdgeSet) -> int:

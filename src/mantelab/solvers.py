@@ -14,12 +14,13 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hypergraph import (
     EdgeSet,
     Hypergraph,
     PairGraph,
     VertexPartition,
-    _is_crossing,
 )
 # count_T is not called here but stays an attribute of this module, where
 # perfbench/worker.py wraps the copy scans for its traced runs.
@@ -105,60 +106,63 @@ class _Ticker:
 
 
 # ---------------------------------------------------------------------------
-# local search over r-class vertex partitions
+# local search over k-class vertex partitions
 
 
-def _local_cut_pass(h: Hypergraph, assignment: list[int], r: int) -> tuple[int, list[int], int]:
-    """Hill-climb single-vertex moves to a 1-move-optimal assignment.
+def _crossing_rows(e: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per edge row of e, whether its vertices' classes in a are pairwise distinct."""
+    return np.bitwise_count(np.bitwise_or.reduce(1 << a[e], axis=1)) == e.shape[1]
+
+
+def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int], int]:
+    """Hill-climb single-vertex moves to a 1-move-optimal k-class assignment.
 
     Takes the best strictly improving move each round, ties broken by lowest
-    (vertex, class).  Returns (value, assignment, moves).
+    (vertex, class).  An edge crosses when its k classes are distinct, so
+    moving the vertex at position d of an edge makes the edge cross exactly
+    when the other k - 1 classes are distinct and the move takes the one
+    class they miss.  The gain of moving v to class c is the number of such
+    (edge, position) cases for (v, c) minus the crossing edges through v,
+    which is 0 for v's own class.  Returns (value, assignment, moves).
     """
-    a = list(assignment)
-    cross = [_is_crossing(e, a) for e in h.edges]
-    value = sum(cross)
+    e, n, k = h.edge_array, h.n, h.k
+    full = (1 << k) - 1
+    others = [[c for c in range(k) if c != d] for d in range(k)]
+    a = np.array(assignment, dtype=np.int64)
     moves = 0
     while True:
-        best_gain = 0
-        best_move: tuple[int, int] | None = None
-        for v in range(h.n):
-            cur = a[v]
-            for c in range(r):
-                if c == cur:
-                    continue
-                a[v] = c
-                gain = 0
-                for i in h.vertex_edges[v]:
-                    after = _is_crossing(h.edges[i], a)
-                    if after != cross[i]:
-                        gain += 1 if after else -1
-                a[v] = cur
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (v, c)
-        if best_move is None:
-            return value, a, moves
-        v, c = best_move
-        a[v] = c
-        for i in h.vertex_edges[v]:
-            cross[i] = _is_crossing(h.edges[i], a)
-        value += best_gain
+        bits = 1 << a[e]
+        cross = _crossing_rows(e, a)
+        hits = []
+        for d in range(k):
+            other = np.bitwise_or.reduce(bits[:, others[d]], axis=1)
+            free = np.bitwise_count(other) == k - 1
+            # the missing class of a free edge is the index of the bit full ^ other
+            hits.append(e[free, d] * k + np.bitwise_count((full ^ other[free]) - 1))
+        gain = np.bincount(np.concatenate(hits), minlength=n * k).reshape(n, k)
+        gain -= np.bincount(e[cross].reshape(-1), minlength=n)[:, None]
+        # own classes read 0, so a positive maximum is a move; argmax takes the
+        # lowest (vertex, class) among ties
+        best = int(gain.argmax())
+        if gain.flat[best] <= 0:
+            return int(cross.sum()), a.tolist(), moves
+        a[best // k] = best % k
         moves += 1
 
 
 def _kpartite_local(
-    h: Hypergraph, r: int, rng: random.Random, restarts: int
+    h: Hypergraph, rng: random.Random, restarts: int
 ) -> tuple[int, tuple[int, ...], int]:
-    """Best local-cut assignment over restarts; restart 0 is round-robin."""
+    """Best local k-class cut assignment over restarts; restart 0 is round-robin."""
     best_value = -1
     best_assign: tuple[int, ...] = ()
     total_moves = 0
     for t in range(max(1, restarts)):
         if t == 0:
-            start = [v % r for v in range(h.n)]
+            start = [v % h.k for v in range(h.n)]
         else:
-            start = [rng.randrange(r) for _ in range(h.n)]
-        value, assign, moves = _local_cut_pass(h, start, r)
+            start = [rng.randrange(h.k) for _ in range(h.n)]
+        value, assign, moves = _local_cut_pass(h, start)
         total_moves += moves
         if value > best_value:
             best_value = value
@@ -172,7 +176,7 @@ def max_cut4_local(h: Hypergraph, seed: TrialSeed, restarts: int = 8) -> SolveRe
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     t0 = time.monotonic()
     rng = random.Random(seed.derived)
-    value, assign, moves = _kpartite_local(h, 4, rng, restarts)
+    value, assign, moves = _kpartite_local(h, rng, restarts)
     part = VertexPartition(4, assign)
     return SolveResult(
         value=value,
@@ -215,7 +219,7 @@ def max_cut4_exact(
     ticker = _Ticker(budget)
     order = sorted(range(n), key=lambda v: (-len(h.vertex_edges[v]), v))
     ve = [sum(1 << i for i in h.vertex_edges[v]) for v in range(n)]
-    seed_value, seed_assign, _ = _kpartite_local(h, 4, random.Random(0xCB1), 4)
+    seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
     best = {"value": seed_value, "assign": seed_assign}
     assign = [-1] * n
 
@@ -301,49 +305,51 @@ def is_4partite(f: Hypergraph, budget: Budget | None = None) -> bool | None:
 UNDEC, KEPT, DEL = 0, 1, 2
 
 
+def _copies_by_edge(triples: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the copies through each edge: ids[start[e]:start[e + 1]]."""
+    ids = np.argsort(triples.reshape(-1))
+    ids //= 3
+    start = np.concatenate(([0], np.cumsum(np.bincount(triples.reshape(-1), minlength=m))))
+    return ids, start
+
+
 def _greedy_tfree(
-    h: Hypergraph,
-    triples: list[tuple[int, int, int]],
+    triples: np.ndarray,
+    by_edge: tuple[np.ndarray, np.ndarray],
     rng: random.Random | None,
 ) -> list[int]:
-    """Delete the edge hitting the most live copies until none remain.
+    """Delete the edge hitting the most live copies until none remain; the kept ids.
 
     Participation counts are maintained incrementally (each copy dies once),
     so a run costs O(copies + deletions * m).  Ties go to the lowest edge id;
     with an rng, ties are broken uniformly at random instead (used for repair
     restarts).
     """
-    m = len(h.edges)
-    copies_by_edge: list[list[int]] = [[] for _ in range(m)]
-    for ci, t in enumerate(triples):
-        for e in t:
-            copies_by_edge[e].append(ci)
-    alive = [True] * len(triples)
-    count = [len(copies_by_edge[e]) for e in range(m)]
+    ids, start = by_edge
+    count = np.diff(start)
+    alive = np.ones(len(triples), dtype=bool)
     live_total = len(triples)
-    deleted: set[int] = set()
+    kept = np.ones(len(count), dtype=bool)
     while live_total:
-        top = max(count)
         if rng is None:
-            pick = count.index(top)
+            pick = int(count.argmax())
         else:
-            pick = rng.choice([e for e, c in enumerate(count) if c == top])
-        deleted.add(pick)
-        for ci in copies_by_edge[pick]:
-            if alive[ci]:
-                alive[ci] = False
-                live_total -= 1
-                for e2 in triples[ci]:
-                    count[e2] -= 1
-    return [i for i in range(m) if i not in deleted]
+            pick = int(rng.choice(np.flatnonzero(count == count.max())))
+        kept[pick] = False
+        hit = ids[start[pick]:start[pick + 1]]
+        hit = hit[alive[hit]]
+        alive[hit] = False
+        live_total -= len(hit)
+        np.subtract.at(count, triples[hit].reshape(-1), 1)
+    return np.flatnonzero(kept).tolist()
 
 
 def _crossing_incumbent(
     h: Hypergraph, rng: random.Random, restarts: int
 ) -> list[int]:
     """Edge ids of the best local-cut crossing set (always copy-free)."""
-    _, assign, _ = _kpartite_local(h, h.k, rng, restarts)
-    return [i for i, e in enumerate(h.edges) if _is_crossing(e, assign)]
+    _, assign, _ = _kpartite_local(h, rng, restarts)
+    return np.flatnonzero(_crossing_rows(h.edge_array, np.array(assign))).tolist()
 
 
 def max_tfree_repair(
@@ -354,14 +360,17 @@ def max_tfree_repair(
     Runs the greedy deletion heuristic (deterministic, then randomized tie
     breaks across restarts) and additionally seeds the incumbent with the best
     local-cut crossing set under the same (seed, restarts), so the returned
-    value is never below the local cut's.
+    value is never below the local cut's.  The greedy runs share one
+    copies-by-edge index.  Hosts with more than ``MAX_COPIES_EXACT`` copies
+    are refused (ValueError) as in :func:`max_tfree_exact`.
     """
     t0 = time.monotonic()
-    triples = t_copy_triples(h)
-    best = _greedy_tfree(h, triples, None)
+    triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
+    by_edge = _copies_by_edge(triples, len(h.edges))
+    best = _greedy_tfree(triples, by_edge, None)
     rng = random.Random(seed.derived)
     for _ in range(max(0, restarts - 1)):
-        cand = _greedy_tfree(h, triples, rng)
+        cand = _greedy_tfree(triples, by_edge, rng)
         if len(cand) > len(best):
             best = cand
     cut_rng = random.Random(seed.derived)
@@ -380,7 +389,7 @@ def max_tfree_repair(
     )
 
 
-def _edge_copy_masks(m: int, triples: list[tuple[int, int, int]]) -> list[int]:
+def _edge_copy_masks(m: int, triples: list[list[int]]) -> list[int]:
     """Per edge, the bitset over copy ids of the copies through it."""
     nbytes = (len(triples) + 7) >> 3
     bufs = [bytearray(nbytes) for _ in range(m)]
@@ -410,13 +419,14 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     deletion), built in copy-id order by lowest-set-bit extraction: take the
     lowest candidate (a, b, c), then clear ``cm[a] | cm[b] | cm[c]`` from
     the candidates.  Memory is O(edges * copies) bits, with no per-copy
-    conflict mask.  Instances with more than 10^7 copies are refused
-    (ValueError) before more than that many are held, to guard memory.
+    conflict mask.  Instances with more than ``MAX_COPIES_EXACT`` (10^7)
+    copies are refused (ValueError) at the first block of copies past that
+    count, to guard memory.
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
     m = len(h.edges)
-    if not triples:
+    if not len(triples):
         return SolveResult(
             value=m,
             witness=EdgeSet(h, frozenset(range(m))),
@@ -424,7 +434,8 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             stats=SearchStats(nodes=0, elapsed=time.monotonic() - t0, budget_hit=False),
         )
     rng = random.Random(0x5EED)
-    greedy = _greedy_tfree(h, triples, None)
+    greedy = _greedy_tfree(triples, _copies_by_edge(triples, m), None)
+    triples = triples.tolist()  # the search reads single rows, which lists serve faster
     crossing = _crossing_incumbent(h, rng, 3)
     incumbent = greedy if len(greedy) >= len(crossing) else crossing
     best = {"value": len(incumbent), "keep": incumbent}

@@ -190,6 +190,17 @@ _WRONG_TYPES = [
     ("build_label", None),
     ("out", None),
     ("constants", {"alpha": "x"}),
+    # falsy values of the wrong type, once taken as an empty object
+    ("budget", 0),
+    ("budget", False),
+    ("budget", ""),
+    ("budget", []),
+    ("budget", None),
+    ("constants", 0),
+    ("constants", False),
+    ("constants", ""),
+    ("constants", []),
+    ("constants", None),
 ]
 
 
@@ -206,6 +217,29 @@ class TestWrongTypedField:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+
+
+# misspelt keys, once ignored: (overrides, the name the error must give)
+_UNKNOWN_KEYS = [
+    ({"trails": 5}, "trails"),
+    ({"budget": {"max_node": 10}}, "budget.max_node"),
+    ({"p": {"absolute": [0.5], "logn_multiplier": [1.0]}}, "p.logn_multiplier"),
+]
+
+
+@pytest.mark.parametrize("overrides,name", _UNKNOWN_KEYS, ids=[u[1] for u in _UNKNOWN_KEYS])
+class TestUnknownKey:
+    def test_config_error(self, tmp_path, overrides, name):
+        with pytest.raises(ConfigError, match=f"unknown config key {name}$"):
+            config_from_dict(base_doc(tmp_path, **overrides))
+
+    def test_cli_error_line(self, tmp_path, capsys, overrides, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(tmp_path, **overrides)))
+        assert cli_main(["phase", "--config", str(cfg)]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"unknown config key {name}\n" in err
+        assert not (tmp_path / "run.csv").exists()
 
 
 class TestPhaseSweep:
@@ -376,6 +410,21 @@ class TestAuditRun:
         ja = json.loads(open(a.files[1]).read())
         jb = json.loads(open(b.files[1]).read())
         assert ja["trials"] == jb["trials"]
+
+    def test_heuristic_copy_guard_skips_trial(self, tmp_path, monkeypatch):
+        import mantelab.solvers
+
+        monkeypatch.setattr(mantelab.solvers, "MAX_COPIES_EXACT", 10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(
+            tmp_path, kind="audit", n=[10], p={"absolute": [0.3]}, trials=1,
+            tier="heuristic", restarts=2,
+        )))
+        assert cli_main(["audit", "--config", str(cfg)]) == EXIT_PARTIAL
+        _, _, rows = read_rows(tmp_path / "run.csv")
+        assert [r["row_type"] for r in rows] == ["skip"]
+        assert list(rows[0].values())[-1] == "copy guard: more than 10 generalized-triangle copies"
+        assert json.loads((tmp_path / "run.json").read_text())["trials"] == []
 
 
 class TestTuranTable:

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
+from math import comb
 
+import numpy as np
 import pytest
 
 from mantelab.hypergraph import (
@@ -138,6 +140,18 @@ class TestCount:
             for i, j, l in trips:
                 assert is_triangle_triple(h.edges[i], h.edges[j], h.edges[l], k)
 
+    def test_copy_triples_match_triple_scan(self, rng):
+        for _ in range(24):
+            k = rng.choice([2, 3, 4])
+            h = random_hypergraph(rng, rng.randint(2 * k - 1, 8), k, p=rng.uniform(0.2, 0.8))
+            naive = [
+                list(t) for t in combinations(range(len(h.edges)), 3)
+                if is_triangle_triple(*(h.edges[i] for i in t), k)
+            ]
+            trips = t_copy_triples(h)
+            assert trips.dtype == np.int64 and trips.shape == (len(naive), 3)
+            assert trips.tolist() == naive
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_copy_triples_limit(self, monkeypatch, k):
         import mantelab.motifs
@@ -145,21 +159,35 @@ class TestCount:
         h = complete_hypergraph(2 * k + 2, k)
         trips = t_copy_triples(h)
         assert len(trips) > 10
-        assert t_copy_triples(h, limit=len(trips)) == trips
-        scanned = 0
-        scan = mantelab.motifs._scan
+        assert np.array_equal(t_copy_triples(h, limit=len(trips)), trips)
+        # one core pair per block: every pair of K_{2k+2} holds comb(k+1, k-2) copies
+        monkeypatch.setattr(mantelab.motifs, "_BLOCK_ROWS", 1)
+        sizes = []
+        blocks = mantelab.motifs._copy_blocks
 
-        def counting_scan(g):
-            nonlocal scanned
-            for item in scan(g):
-                scanned += 1
-                yield item
+        def counting_blocks(g):
+            for rows in blocks(g):
+                sizes.append(len(rows))
+                yield rows
 
-        monkeypatch.setattr(mantelab.motifs, "_scan", counting_scan)
+        monkeypatch.setattr(mantelab.motifs, "_copy_blocks", counting_blocks)
         with pytest.raises(ValueError, match="more than 10 "):
             t_copy_triples(h, limit=10)
-        # the scan stops at the 11th distinct copy (k=2 finds each copy 3 times)
-        assert scanned <= (3 * 11 if k == 2 else 11)
+        assert set(sizes) == {comb(k + 1, k - 2)}
+        # the scan stops at the first block that takes the count past 10
+        assert sum(sizes[:-1]) <= 10 < sum(sizes)
+
+    def test_copy_triples_row_sort_matches_key_sort(self, monkeypatch, rng):
+        import mantelab.motifs
+
+        hosts = [complete_hypergraph(8, k) for k in (2, 3, 4)]
+        hosts += [random_hypergraph(rng, 9, k, p=0.5) for k in (2, 3, 4)]
+        by_key = [t_copy_triples(h) for h in hosts]
+        # hosts this large sort rows, as the int64 key could overflow
+        monkeypatch.setattr(mantelab.motifs, "_KEY_MAX_M", 0)
+        for h, trips in zip(hosts, by_key):
+            assert np.array_equal(t_copy_triples(h), trips)
+        assert t_copy_triples(turan_hypergraph(8, 4)).shape == (0, 3)
 
 
 class TestThroughEdges:

@@ -36,7 +36,7 @@ def brute_force_tfree(h) -> int:
     from mantelab.motifs import t_copy_triples
 
     m = len(h.edges)
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in t_copy_triples(h)]
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in t_copy_triples(h).tolist()]
     s = np.arange(1 << m, dtype=np.uint32)
     bad = np.zeros(1 << m, dtype=bool)
     for mk in masks:
@@ -321,7 +321,7 @@ class TestHeuristicGolden:
             loc = max_cut4_local(h, seed, restarts=4)
             got = (loc.value, loc.witness.assignment, loc.stats.nodes)
         else:
-            got = _kpartite_local(h, h.k, random.Random(seed.derived), 4)
+            got = _kpartite_local(h, random.Random(seed.derived), 4)
         assert got == local
 
 
@@ -350,6 +350,81 @@ class TestTfreeRepair:
         repair = max_tfree_repair(g, seed, restarts=4)
         cut = max_cut4_local(g, seed, restarts=4)
         assert repair.value >= cut.value
+
+
+def loop_greedy_tfree(m, triples, rng):
+    """Plain-list greedy deletion: most live copies first, ties lowest or drawn by rng."""
+    by_edge = [[] for _ in range(m)]
+    for ci, t in enumerate(triples):
+        for e in t:
+            by_edge[e].append(ci)
+    alive = [True] * len(triples)
+    count = [len(c) for c in by_edge]
+    deleted = set()
+    while any(alive):
+        top = max(count)
+        ties = [e for e, c in enumerate(count) if c == top]
+        pick = ties[0] if rng is None else rng.choice(ties)
+        deleted.add(pick)
+        for ci in by_edge[pick]:
+            if alive[ci]:
+                alive[ci] = False
+                for e in triples[ci]:
+                    count[e] -= 1
+    return [e for e in range(m) if e not in deleted]
+
+
+def loop_local_cut_pass(h, assignment):
+    """Plain-loop hill climb: best strictly improving move, ties lowest (vertex, class)."""
+    def crossing(e, a):
+        return len({a[v] for v in e}) == len(e)
+
+    a = list(assignment)
+    value = sum(crossing(e, a) for e in h.edges)
+    moves = 0
+    while True:
+        best_gain, best_move = 0, None
+        for v in range(h.n):
+            cur = a[v]
+            for c in range(h.k):
+                a[v] = c
+                after = sum(crossing(h.edges[i], a) for i in h.vertex_edges[v])
+                a[v] = cur
+                gain = after - sum(crossing(h.edges[i], a) for i in h.vertex_edges[v])
+                if gain > best_gain:
+                    best_gain, best_move = gain, (v, c)
+        if best_move is None:
+            return value, a, moves
+        a[best_move[0]] = best_move[1]
+        value += best_gain
+        moves += 1
+
+
+class TestArrayKernels:
+    """The array greedy and local cut against their plain-loop references."""
+
+    def test_greedy_matches_loop(self, rng):
+        from mantelab.motifs import t_copy_triples
+        from mantelab.solvers import _copies_by_edge, _greedy_tfree
+
+        for i in range(12):
+            k = (2, 3, 4)[i % 3]
+            h = random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.3, 0.8))
+            trips = t_copy_triples(h)
+            by_edge = _copies_by_edge(trips, len(h.edges))
+            ref = loop_greedy_tfree(len(h.edges), trips.tolist(), None)
+            assert _greedy_tfree(trips, by_edge, None) == ref
+            got = _greedy_tfree(trips, by_edge, random.Random(i))
+            assert got == loop_greedy_tfree(len(h.edges), trips.tolist(), random.Random(i))
+
+    def test_local_cut_pass_matches_loop(self, rng):
+        from mantelab.solvers import _local_cut_pass
+
+        for i in range(24):
+            k = (2, 3, 4)[i % 3]
+            h = random_hypergraph(rng, rng.randint(k, 11), k, p=rng.uniform(0.05, 0.9))
+            start = [rng.randrange(k) for _ in range(h.n)]
+            assert _local_cut_pass(h, start) == loop_local_cut_pass(h, start)
 
 
 class TestCut4Exact:
