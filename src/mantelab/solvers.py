@@ -21,6 +21,7 @@ from .hypergraph import (
     Hypergraph,
     PairGraph,
     VertexPartition,
+    crossing_edges,
 )
 # count_T is not called here but stays an attribute of this module, where
 # perfbench/worker.py wraps the copy scans for its traced runs.
@@ -109,11 +110,6 @@ class _Ticker:
 # local search over k-class vertex partitions
 
 
-def _crossing_rows(e: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Per edge row of e, whether its vertices' classes in a are pairwise distinct."""
-    return np.bitwise_count(np.bitwise_or.reduce(1 << a[e], axis=1)) == e.shape[1]
-
-
 def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int], int]:
     """Hill-climb single-vertex moves to a 1-move-optimal k-class assignment.
 
@@ -132,7 +128,7 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     moves = 0
     while True:
         bits = 1 << a[e]
-        cross = _crossing_rows(e, a)
+        cross = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)) == k
         hits = []
         for d in range(k):
             other = np.bitwise_or.reduce(bits[:, others[d]], axis=1)
@@ -349,7 +345,7 @@ def _crossing_incumbent(
 ) -> list[int]:
     """Edge ids of the best local-cut crossing set (always copy-free)."""
     _, assign, _ = _kpartite_local(h, rng, restarts)
-    return np.flatnonzero(_crossing_rows(h.edge_array, np.array(assign))).tolist()
+    return sorted(crossing_edges(h, VertexPartition(h.k, assign)).indices)
 
 
 def max_tfree_repair(
