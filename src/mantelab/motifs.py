@@ -76,8 +76,6 @@ def generalized_triangle(k: int) -> Hypergraph:
 
 # Raw copy rows held per block, unless one core pair alone has more.
 _BLOCK_ROWS = 1 << 15
-# Hosts with this many edges sort copies as rows: (i * m + j) * m + l < 2**63 needs m < 2**21.
-_KEY_MAX_M = 1 << 21
 
 
 def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
@@ -101,19 +99,18 @@ def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
     apex = e.reshape(-1)
     key = core @ (n ** np.arange(k - 2, -1, -1))
     order = np.lexsort((apex, key))
-    core, apex, key, eid = core[order], apex[order], key[order], order // k
-    group = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    size = np.diff(np.concatenate((group, [len(key)])))
+    core, apex, eid = core[order], apex[order], order // k
+    _, group, size = np.unique(key[order], return_index=True, return_counts=True)
     # core pair q pairs entry x with a later entry of its group; x has
     # partners[x] of them, and the pairs before x number done[x]
-    partners = np.repeat(group + size - 1, size) - np.arange(len(key))
+    partners = np.repeat(group + size - 1, size) - np.arange(len(apex))
     if k == 2:
         partners[core[:, 0] >= apex] = 0
     done = np.concatenate(([0], np.cumsum(partners)))
     # pair -> edges holding it, ascending edge id per pair, with each edge's
     # other k - 2 vertices
     pairs = list(combinations(range(k), 2))
-    pair_key = np.stack([e[:, u] * n + e[:, v] for u, v in pairs], axis=1).reshape(-1)
+    pair_key = (e[:, pairs] @ [n, 1]).reshape(-1)
     by_pair = np.argsort(pair_key, kind="stable")
     pair_key, pair_edge = pair_key[by_pair], by_pair // len(pairs)
     rest = e[:, [[c for c in range(k) if c not in pr] for pr in pairs]]
@@ -144,12 +141,11 @@ def find_T(h: Hypergraph) -> MotifWitness | None:
     for rows in _copy_blocks(h):
         if len(rows):
             e1, e2, e3 = (h.edges[x] for x in rows[0].tolist())
-            core = tuple(sorted(set(e1) & set(e2)))
-            (a,), (b,) = set(e1) - set(core), set(e2) - set(core)
+            a, b = sorted(set(e1) ^ set(e2))
             return MotifWitness(
                 kind=KIND_TRIANGLE,
                 edges=(e1, e2, e3),
-                core=core,
+                core=tuple(sorted(set(e1) & set(e2))),
                 apex=(a, b),
                 tails=tuple(x for x in e3 if x != a and x != b),
             )
@@ -165,27 +161,19 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
     """All copies as a (C, 3) int64 array of ascending edge-id rows in lex order.
 
     Raises ValueError at the first block of copies that takes the count past
-    ``limit``; at that point at most ``limit`` copies plus one block are
-    held, as one int64 sort key (i * m + j) * m + l per copy, or as rows
-    when m >= ``_KEY_MAX_M`` and that key could overflow.
+    ``limit``; at that point at most ``limit`` copies plus one block are held.
     """
-    m = len(h.edges)
-    wide = m >= _KEY_MAX_M
-    held = []
+    held = [np.empty((0, 3), dtype=np.int64)]
     total = 0
     for rows in _copy_blocks(h):
         rows.sort(axis=1)
-        held.append(rows if wide else (rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2])
+        held.append(rows)
         total += len(rows)
         if limit is not None and total > limit:
             raise ValueError(f"copy guard: more than {limit} generalized-triangle copies")
-    if not held:
-        return np.empty((0, 3), dtype=np.int64)
-    if wide:
-        rows = np.concatenate(held)
-        return rows[np.lexsort(rows.T[::-1])]
-    key = np.sort(np.concatenate(held))
-    return np.stack((key // (m * m), key // m % m, key % m), axis=1)
+    rows = np.concatenate(held)
+    del held
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def t_through_edges(h: Hypergraph, b: EdgeSet) -> int:

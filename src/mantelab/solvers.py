@@ -301,43 +301,41 @@ def is_4partite(f: Hypergraph, budget: Budget | None = None) -> bool | None:
 UNDEC, KEPT, DEL = 0, 1, 2
 
 
-def _copies_by_edge(triples: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the copies through each edge: ids[start[e]:start[e + 1]]."""
+def _greedy_tfree(
+    triples: np.ndarray, m: int, rng: random.Random | None = None, runs: int = 1
+) -> list[int]:
+    """Kept edge ids of the best of ``runs`` greedy deletions (the earliest on ties).
+
+    A run deletes the edge hitting the most live copies until none remain.
+    Participation counts are maintained incrementally (each copy dies once),
+    so a run costs O(copies + deletions * m).  The first run breaks ties by
+    lowest edge id; later runs break them uniformly at random with rng (used
+    for repair restarts).  The runs share one index of the copies through
+    each edge, ids[start[e]:start[e + 1]].
+    """
     ids = np.argsort(triples.reshape(-1))
     ids //= 3
     start = np.concatenate(([0], np.cumsum(np.bincount(triples.reshape(-1), minlength=m))))
-    return ids, start
-
-
-def _greedy_tfree(
-    triples: np.ndarray,
-    by_edge: tuple[np.ndarray, np.ndarray],
-    rng: random.Random | None,
-) -> list[int]:
-    """Delete the edge hitting the most live copies until none remain; the kept ids.
-
-    Participation counts are maintained incrementally (each copy dies once),
-    so a run costs O(copies + deletions * m).  Ties go to the lowest edge id;
-    with an rng, ties are broken uniformly at random instead (used for repair
-    restarts).
-    """
-    ids, start = by_edge
-    count = np.diff(start)
-    alive = np.ones(len(triples), dtype=bool)
-    live_total = len(triples)
-    kept = np.ones(len(count), dtype=bool)
-    while live_total:
-        if rng is None:
-            pick = int(count.argmax())
-        else:
-            pick = int(rng.choice(np.flatnonzero(count == count.max())))
-        kept[pick] = False
-        hit = ids[start[pick]:start[pick + 1]]
-        hit = hit[alive[hit]]
-        alive[hit] = False
-        live_total -= len(hit)
-        np.subtract.at(count, triples[hit].reshape(-1), 1)
-    return np.flatnonzero(kept).tolist()
+    best: list[int] = []
+    for run in range(runs):
+        count = np.diff(start)
+        alive = np.ones(len(triples), dtype=bool)
+        live_total = len(triples)
+        kept = np.ones(m, dtype=bool)
+        while live_total:
+            if run == 0:
+                pick = int(count.argmax())
+            else:
+                pick = int(rng.choice(np.flatnonzero(count == count.max())))
+            kept[pick] = False
+            hit = ids[start[pick]:start[pick + 1]]
+            hit = hit[alive[hit]]
+            alive[hit] = False
+            live_total -= len(hit)
+            np.subtract.at(count, triples[hit].reshape(-1), 1)
+        if kept.sum() > len(best):
+            best = np.flatnonzero(kept).tolist()
+    return best
 
 
 def _crossing_incumbent(
@@ -356,19 +354,13 @@ def max_tfree_repair(
     Runs the greedy deletion heuristic (deterministic, then randomized tie
     breaks across restarts) and additionally seeds the incumbent with the best
     local-cut crossing set under the same (seed, restarts), so the returned
-    value is never below the local cut's.  The greedy runs share one
-    copies-by-edge index.  Hosts with more than ``MAX_COPIES_EXACT`` copies
-    are refused (ValueError) as in :func:`max_tfree_exact`.
+    value is never below the local cut's.  Hosts with more than
+    ``MAX_COPIES_EXACT`` copies are refused (ValueError) as in
+    :func:`max_tfree_exact`.
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
-    by_edge = _copies_by_edge(triples, len(h.edges))
-    best = _greedy_tfree(triples, by_edge, None)
-    rng = random.Random(seed.derived)
-    for _ in range(max(0, restarts - 1)):
-        cand = _greedy_tfree(triples, by_edge, rng)
-        if len(cand) > len(best):
-            best = cand
+    best = _greedy_tfree(triples, len(h.edges), random.Random(seed.derived), max(1, restarts))
     cut_rng = random.Random(seed.derived)
     crossing = _crossing_incumbent(h, cut_rng, restarts)
     if len(crossing) > len(best):
@@ -430,7 +422,7 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             stats=SearchStats(nodes=0, elapsed=time.monotonic() - t0, budget_hit=False),
         )
     rng = random.Random(0x5EED)
-    greedy = _greedy_tfree(triples, _copies_by_edge(triples, m), None)
+    greedy = _greedy_tfree(triples, m)
     triples = triples.tolist()  # the search reads single rows, which lists serve faster
     crossing = _crossing_incumbent(h, rng, 3)
     incumbent = greedy if len(greedy) >= len(crossing) else crossing

@@ -405,17 +405,19 @@ class TestArrayKernels:
 
     def test_greedy_matches_loop(self, rng):
         from mantelab.motifs import t_copy_triples
-        from mantelab.solvers import _copies_by_edge, _greedy_tfree
+        from mantelab.solvers import _greedy_tfree
 
         for i in range(12):
             k = (2, 3, 4)[i % 3]
             h = random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.3, 0.8))
-            trips = t_copy_triples(h)
-            by_edge = _copies_by_edge(trips, len(h.edges))
-            ref = loop_greedy_tfree(len(h.edges), trips.tolist(), None)
-            assert _greedy_tfree(trips, by_edge, None) == ref
-            got = _greedy_tfree(trips, by_edge, random.Random(i))
-            assert got == loop_greedy_tfree(len(h.edges), trips.tolist(), random.Random(i))
+            trips, m = t_copy_triples(h), len(h.edges)
+            first = loop_greedy_tfree(m, trips.tolist(), None)
+            assert _greedy_tfree(trips, m) == first
+            ref_rng, got_rng = random.Random(i), random.Random(i)
+            runs = [first] + [loop_greedy_tfree(m, trips.tolist(), ref_rng) for _ in range(3)]
+            # the earliest of the longest runs, after the same draws
+            assert _greedy_tfree(trips, m, got_rng, 4) == max(runs, key=len)
+            assert got_rng.getstate() == ref_rng.getstate()
 
     def test_local_cut_pass_matches_loop(self, rng):
         from mantelab.solvers import _local_cut_pass
