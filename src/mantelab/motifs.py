@@ -97,10 +97,10 @@ def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
     # grouped by core and ascending by apex within a group
     core = e[:, [[c for c in range(k) if c != d] for d in range(k)]].reshape(-1, k - 1)
     apex = e.reshape(-1)
-    key = core @ (n ** np.arange(k - 2, -1, -1))
-    order = np.lexsort((apex, key))
+    order = np.lexsort((apex, *core.T[::-1]))
     core, apex, eid = core[order], apex[order], order // k
-    _, group, size = np.unique(key[order], return_index=True, return_counts=True)
+    group = np.flatnonzero(np.concatenate(([True], (core[1:] != core[:-1]).any(axis=1))))
+    size = np.diff(np.append(group, len(apex)))
     # core pair q pairs entry x with a later entry of its group; x has
     # partners[x] of them, and the pairs before x number done[x]
     partners = np.repeat(group + size - 1, size) - np.arange(len(apex))

@@ -153,6 +153,15 @@ class TestCount:
             assert trips.tolist() == naive
         assert t_copy_triples(turan_hypergraph(8, 4)).shape == (0, 3)
 
+    def test_cores_apart_in_wide_vertex_range(self):
+        # (0, 1, 2) and c have equal base-n keys c0 * n^2 + c1 * n + c2 modulo
+        # 2^64, so cores must be told apart by their vertices
+        n, c = 3_000_001, (2049636, 2591963, 2910020)
+        x, y, z = n - 3, n - 2, n - 1
+        h = build_hypergraph(n, 4, [(0, 1, 2, x), (0, 1, 2, y), c + (z,), (c[0] - 1, x, y, z)])
+        assert count_T(h) == 1
+        assert t_copy_triples(h).tolist() == [[0, 1, 2]]
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_copy_triples_limit(self, monkeypatch, k):
         import mantelab.motifs
