@@ -29,8 +29,9 @@ from time import perf_counter
 from typing import Callable
 
 from .hypergraph import complete_hypergraph, turan_hypergraph
-# decomposition and low_pair_cut_gap are not called here (an audit trial takes
-# both from defect_audit's report) but stay attributes of this module, where
+# best_partition_for, decomposition and low_pair_cut_gap are not called here
+# (an audit trial cuts through _cut and takes the other two from
+# defect_audit's report) but stay attributes of this module, where
 # perfbench/worker.py wraps each layer's functions for its traced runs.
 from .proplab import (
     AuditConstants,
@@ -189,7 +190,7 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     tier = doc.get("tier", "exact")
     if tier not in ("exact", "heuristic"):
         raise ConfigError(f"tier must be 'exact' or 'heuristic', got {tier!r}")
-    if kind in ("phase-sweep", "audit") and k != 4:
+    if kind in ("phase-sweep", "concentration", "audit") and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
     budget = _known_keys(_shaped(doc.get("budget", {}), "object", "budget"), "budget.")
     try:
@@ -312,7 +313,6 @@ class _TrialKind:
     fill: str = ""
     eps_column: bool = False
     writes_json: bool = False
-    needs_k4: bool = False
 
 
 def _cell_skip_reason(cfg: ExperimentConfig, n: int, exact_cap: int) -> str | None:
@@ -330,8 +330,6 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
     index ``c * trials + t``, so a capped cell still uses up its indices.  A
     ``ValueError`` from a trial's stages turns the trial into a ``skip`` row.
     """
-    if kind.needs_k4 and cfg.k != 4:
-        return RunOutcome(EXIT_FAILED, (), f"{cfg.kind} runs need k=4")
     items = []
     skipped_cells = []
     grid = [(n, p) for n in cfg.n_values for p in cfg.p_grid(n)]
@@ -486,7 +484,6 @@ _CONCENTRATION = _TrialKind(
     exact_cap=None,
     fill="na",
     eps_column=True,
-    needs_k4=True,
 )
 
 
@@ -503,8 +500,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     tres = _tfree(cfg, g, seed)
     f = tres.witness.as_hypergraph()
     lap()
-    method = "exact" if cfg.tier == "exact" else "local"
-    pres = best_partition_for(f, method, seed=seed, budget=cfg.budget, restarts=cfg.restarts)
+    pres = _cut(cfg, f, seed)
     part, relabeling = relabel_for_largest_defect(f, pres.witness)
     lap()
     audit = defect_audit(g, f, part, p, cfg.constants, relabel=False)

@@ -281,17 +281,6 @@ def link(g: Hypergraph, v: int) -> Hypergraph:
     return Hypergraph(g.n, g.k - 1, tuple(sorted(rem)))
 
 
-def _is_crossing(edge: Edge, assignment: Sequence[int]) -> bool:
-    # with r == k, "meets every class" is "all classes distinct"
-    seen = 0
-    for v in edge:
-        b = 1 << assignment[v]
-        if seen & b:
-            return False
-        seen |= b
-    return True
-
-
 def _check_partition(g: Hypergraph, part: VertexPartition) -> None:
     if part.n != g.n:
         raise ValueError(f"partition covers {part.n} vertices, hypergraph has {g.n}")
@@ -301,12 +290,21 @@ def _check_partition(g: Hypergraph, part: VertexPartition) -> None:
         )
 
 
+def _crossing_mask(g: Hypergraph, assignment: Sequence[int]) -> np.ndarray:
+    """(m,) bool by edge id: does the edge cross the k-class assignment?
+
+    This is the one crossing test.  With r == k classes, "meets every class"
+    is "all classes distinct".
+    """
+    classes = np.asarray(assignment, dtype=np.int64)[g.edge_array]
+    return np.bitwise_count(np.bitwise_or.reduce(1 << classes, axis=1)) == g.k
+
+
 def crossing_edges(g: Hypergraph, part: VertexPartition) -> EdgeSet:
     """Edges meeting every class of the partition (one vertex per class)."""
     _check_partition(g, part)
-    a = part.assignment
-    ids = frozenset(i for i, e in enumerate(g.edges) if _is_crossing(e, a))
-    return EdgeSet(g, ids)
+    ids = np.flatnonzero(_crossing_mask(g, part.assignment)).tolist()
+    return EdgeSet(g, frozenset(ids))
 
 
 def crossing_link(g: Hypergraph, v: int, part: VertexPartition) -> Hypergraph:
@@ -314,12 +312,8 @@ def crossing_link(g: Hypergraph, v: int, part: VertexPartition) -> Hypergraph:
     _check_partition(g, part)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    a = part.assignment
-    rem = []
-    for i in g.vertex_edges[v]:
-        e = g.edges[i]
-        if _is_crossing(e, a):
-            rem.append(tuple(x for x in e if x != v))
+    cross = _crossing_mask(g, part.assignment).tolist()
+    rem = [tuple(x for x in g.edges[i] if x != v) for i in g.vertex_edges[v] if cross[i]]
     return Hypergraph(g.n, g.k - 1, tuple(sorted(rem)))
 
 
@@ -332,24 +326,22 @@ def common_degree(
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"vertex {x} out of range 0..{g.n - 1}")
-    a = part.assignment if part is not None else None
-    if part is not None:
+    if part is None:
+        cross = [True] * len(g.edges)
+    else:
         _check_partition(g, part)
+        cross = _crossing_mask(g, part.assignment).tolist()
     # scan edges through the lower-degree endpoint
     if len(g.vertex_edges[u]) > len(g.vertex_edges[v]):
         u, v = v, u
     count = 0
     for i in g.vertex_edges[u]:
         e = g.edges[i]
-        if a is not None and not _is_crossing(e, a):
+        if not cross[i] or v in e:
             continue
-        if v in e:
-            continue
-        t = tuple(x for x in e if x != u)
-        other = tuple(sorted(t + (v,)))
-        if other in g.edge_set:
-            if a is None or _is_crossing(other, a):
-                count += 1
+        j = g.edge_ids.get(tuple(sorted(x if x != u else v for x in e)))
+        if j is not None and cross[j]:
+            count += 1
     return count
 
 

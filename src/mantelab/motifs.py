@@ -25,7 +25,7 @@ from .hypergraph import (
     Pair,
     VertexPartition,
     _check_partition,
-    _is_crossing,
+    crossing_link,
 )
 
 __all__ = [
@@ -211,20 +211,6 @@ def _certifiers(
     return cert
 
 
-def _crossing_remainders(
-    g: Hypergraph, part: VertexPartition, anchors: set[int]
-) -> dict[int, set[tuple[int, ...]]]:
-    rem: dict[int, set[tuple[int, ...]]] = {w: set() for w in anchors}
-    a = part.assignment
-    for e in g.edges:
-        if not _is_crossing(e, a):
-            continue
-        for v in e:
-            if v in rem:
-                rem[v].add(tuple(x for x in e if x != v))
-    return rem
-
-
 def count_gadgets(
     g: Hypergraph, part: VertexPartition, b1: EdgeSet | Iterable[Iterable[int]]
 ) -> dict[Pair, int]:
@@ -238,7 +224,7 @@ def count_gadgets(
     """
     cert = _certifiers(g, part, b1)
     anchors = {w for pr in cert for w in pr}
-    rem = _crossing_remainders(g, part, anchors)
+    rem = {w: crossing_link(g, w, part).edge_set for w in anchors}
     out: dict[Pair, int] = {}
     for pr, ws in cert.items():
         w1, w2 = pr
@@ -264,8 +250,7 @@ def gadget_witness(
     if pr not in cert:
         return None
     w1, w2 = pr
-    rem = _crossing_remainders(g, part, {w1, w2})
-    for t in sorted(rem[w1] & rem[w2]):
+    for t in sorted(crossing_link(g, w1, part).edge_set & crossing_link(g, w2, part).edge_set):
         tset = set(t)
         for w in cert[pr]:
             if not (w & tset):

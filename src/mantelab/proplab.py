@@ -27,7 +27,7 @@ from .hypergraph import (
     PairGraph,
     VertexPartition,
     _check_partition,
-    _is_crossing,
+    _crossing_mask,
     crossing_edges,
     is_balanced,
     shadow_graph,
@@ -239,6 +239,11 @@ def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> Con
     return ConcentrationRow(name, expected, omin, omax, eps, True, passed)
 
 
+def _crossing_degrees(g: Hypergraph, assignment) -> np.ndarray:
+    """Per vertex, the number of crossing edges of g through it."""
+    return np.bincount(g.edge_array[_crossing_mask(g, assignment)].ravel(), minlength=g.n)
+
+
 def concentration_report(
     g: Hypergraph,
     p: float,
@@ -309,8 +314,7 @@ def concentration_report(
         ]
         if applicable_src:
             a = np.asarray(part.assignment, dtype=np.int64)
-            crossing = np.bitwise_or.reduce(np.left_shift(1, a[E]), axis=1) == 0b1111
-            dpi = np.bincount(E[crossing].ravel(), minlength=n)
+            dpi = _crossing_degrees(g, a)
             e0 = p * prods[0]
             factor = np.array(
                 [e0 / (p * prods[i]) if i in applicable_src else np.nan for i in range(4)]
@@ -357,9 +361,7 @@ def low_pairs(
     first = sorted(part.classes[0])
     groups: dict[tuple[int, ...], list[int]] = {}
     a = part.assignment
-    for e in g.edges:
-        if not _is_crossing(e, a):
-            continue
+    for e in g.edge_array[_crossing_mask(g, a)].tolist():
         x = next(v for v in e if a[v] == 0)
         t = tuple(v for v in e if v != x)
         groups.setdefault(t, []).append(x)
@@ -491,11 +493,7 @@ def decomposition(
     heavy = frozenset(x for x in first if l_graph.degree(x) >= heavy_threshold)
     light = frozenset(first) - heavy
 
-    cross_f = crossing_edges(f, part)
-    cross_deg = [0] * n
-    for e in cross_f.edges:
-        for v in e:
-            cross_deg[v] += 1
+    cross_deg = _crossing_degrees(f, part.assignment)
     rich_threshold = float(consts.eps2) * p * n**3
     heavy_rich = frozenset(x for x in heavy if cross_deg[x] >= rich_threshold)
     heavy_poor = heavy - heavy_rich
@@ -534,7 +532,7 @@ def decomposition(
         degenerate_heavy_threshold=heavy_threshold < 1,
         degenerate_rich_threshold=rich_threshold < 1,
         crossing_host=len(cross_g),
-        crossing_sub=len(cross_f),
+        crossing_sub=int(cross_deg.sum()) // 4,  # each crossing edge has 4 vertices
     )
 
 

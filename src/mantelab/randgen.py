@@ -77,10 +77,12 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     out = []
     r = rank
     for i in range(k, 0, -1):
-        # largest s with C(s, i) <= r
-        s = i - 1
-        while math.comb(s + 1, i) <= r:
-            s += 1
+        # bisect for the largest s with C(s, i) <= r; it lies in [i - 1, r + i - 1]
+        # since C(i - 1, i) = 0 <= r < C(r + i, i)
+        s, hi = i - 1, r + i - 1
+        while s < hi:
+            mid = (s + hi + 1) // 2
+            s, hi = (mid, hi) if math.comb(mid, i) <= r else (s, mid - 1)
         out.append(s)
         r -= math.comb(s, i)
     out.reverse()

@@ -21,6 +21,7 @@ from .hypergraph import (
     Hypergraph,
     PairGraph,
     VertexPartition,
+    _crossing_mask,
     crossing_edges,
 )
 # count_T is not called here but stays an attribute of this module, where
@@ -128,7 +129,7 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     moves = 0
     while True:
         bits = 1 << a[e]
-        cross = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)) == k
+        cross = _crossing_mask(h, a)
         hits = []
         for d in range(k):
             other = np.bitwise_or.reduce(bits[:, others[d]], axis=1)

@@ -57,6 +57,12 @@ def random_vertex_partition(rng: random.Random, n: int, r: int) -> VertexPartiti
     return VertexPartition(r, tuple(labels))
 
 
+def naive_crossing_ids(h: Hypergraph, part: VertexPartition) -> set[int]:
+    """Ids of the edges whose set of vertex classes is exactly {0, .., r-1}."""
+    every = set(range(part.r))
+    return {i for i, e in enumerate(h.edges) if {part.assignment[v] for v in e} == every}
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xBADA55)

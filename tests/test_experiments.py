@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from mantelab.experiments import (
     run_phase_sweep,
     run_turan_table,
 )
-from mantelab.hypergraph import from_text, read_text, to_text
+from mantelab.hypergraph import Hypergraph, from_text, read_text, to_text
 from mantelab.randgen import derive_seed, sample_gknp
 
 
@@ -350,8 +353,11 @@ class TestConcentrationRun:
 
     def test_needs_four_uniform_host(self, tmp_path):
         doc = base_doc(tmp_path, kind="concentration", k=3, n=[8], p={"absolute": [0.5]})
-        out = run_concentration(config_from_dict(doc))
-        assert out.status == EXIT_FAILED and out.files == ()
+        with pytest.raises(ConfigError, match="set k=4"):
+            config_from_dict(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["concentration", "--config", str(cfg)]) == EXIT_FAILED
         assert not os.path.exists(tmp_path / "run.csv")
 
     def test_deterministic(self, tmp_path):
@@ -537,3 +543,30 @@ class TestCli:
         assert cli_main(["phase", "--config", str(cfg)]) == 0
         header, _, rows = read_rows(tmp_path / "envrun.csv")
         assert any(r["row_type"] == "trial" for r in rows)
+
+
+def _load_bench_worker():
+    """perfbench/worker.py as a module, loaded without running or installing anything."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+class TestBenchmarkHooks:
+    """The attributes the benchmark's traced runs wrap must stay in place.
+
+    An import that looks dead (count_T in solvers, best_partition_for in
+    experiments) is one of them; dropping it would break only the traced runs.
+    """
+
+    def test_patched_names_are_callables(self):
+        for module_name, names in _load_bench_worker().PATCHES.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+    def test_indexes_are_cached_properties(self):
+        for name in _load_bench_worker().INDEXES:
+            assert isinstance(vars(Hypergraph).get(name), cached_property), name

@@ -25,7 +25,7 @@ from mantelab.hypergraph import (
 )
 from mantelab.motifs import count_T, find_T
 
-from conftest import random_hypergraph, random_vertex_partition
+from conftest import naive_crossing_ids, random_hypergraph, random_vertex_partition
 
 T4_EDGES = [{0, 1, 2, 3}, {0, 1, 2, 4}, {3, 4, 5, 6}]
 
@@ -290,6 +290,34 @@ class TestInvariants:
             v = rng.randrange(8)
             b = restrict_bracket(h, [{v}], link(h, v).edges)
             assert set(b.edges) == {e for e in h.edges if v in e}
+
+
+class TestCrossingOracle:
+    """The crossing mask's readers against the set-arithmetic oracle."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_naive_crossing_ids(self, rng, k):
+        for _ in range(20):
+            h = random_hypergraph(rng, rng.randint(k + 1, 9), k, p=0.5)
+            # uniform labels, so some partitions leave a class empty
+            part = VertexPartition(k, tuple(rng.randrange(k) for _ in range(h.n)))
+            ids = naive_crossing_ids(h, part)
+            assert crossing_edges(h, part).indices == ids
+            cross = {h.edges[i] for i in ids}
+            for v in range(h.n):
+                expected = sorted(tuple(x for x in e if x != v) for e in cross if v in e)
+                assert list(crossing_link(h, v, part).edges) == expected
+            for u, v in combinations(range(h.n), 2):
+                both = [
+                    (tuple(sorted(t + (u,))), tuple(sorted(t + (v,))))
+                    for t in combinations(sorted(set(range(h.n)) - {u, v}), k - 1)
+                ]
+                assert common_degree(h, u, v, part) == sum(
+                    a in cross and b in cross for a, b in both
+                )
+                assert common_degree(h, u, v) == sum(
+                    a in h.edge_set and b in h.edge_set for a, b in both
+                )
 
 
 class TestEdgeSet:

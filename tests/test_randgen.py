@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mantelab.hypergraph import complete_hypergraph, to_text
 from mantelab.randgen import (
@@ -42,6 +42,7 @@ class TestDeriveSeed:
 
 class TestColexOrder:
     @given(st.integers(0, 10**6), st.integers(1, 5))
+    @example(10**6, 1)  # the widest position range, run every time
     @settings(max_examples=300)
     def test_unrank_rank_roundtrip(self, rank, k):
         s = colex_unrank(rank, k)

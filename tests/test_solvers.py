@@ -28,7 +28,7 @@ from mantelab.solvers import (
     max_tfree_repair,
 )
 
-from conftest import random_hypergraph, random_vertex_partition
+from conftest import naive_crossing_ids, random_hypergraph, random_vertex_partition
 
 
 def brute_force_tfree(h) -> int:
@@ -503,6 +503,17 @@ class TestCut4Local:
                 moved = len(crossing_edges(h, VertexPartition(4, tuple(assign))))
                 assert moved <= base
             assign[v] = orig
+
+
+    def test_value_counts_crossing_edges(self, rng):
+        from mantelab.solvers import _kpartite_local
+
+        for i in range(15):
+            k = rng.choice([2, 3, 4])
+            h = random_hypergraph(rng, rng.randint(k + 1, 10), k, p=0.5)
+            value, assign, _ = _kpartite_local(h, random.Random(i), 3)
+            part = VertexPartition(k, assign)
+            assert value == len(crossing_edges(h, part)) == len(naive_crossing_ids(h, part))
 
 
 class TestPartitionFor:
