@@ -75,7 +75,7 @@ _KIND_BY_COMMAND = {
 def _run_generate(args) -> int:
     g = sample_gknp(args.n, args.k, args.p, derive_seed(args.seed, args.trial))
     write_text(g, args.out)
-    print(f"wrote {args.out}: n={g.n} k={g.k} m={len(g.edges)}")
+    print(f"wrote {args.out}: n={g.n} k={g.k} m={len(g)}")
     return experiments.EXIT_CLEAN
 
 

@@ -363,7 +363,7 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
             cells, payload = kind.trial(cfg, g, p, trial_no, seed, lap)
         except ValueError as exc:
             return n, p, skip_row(n, p, _fmt(trial_no), str(exc)), None
-        row = head("trial", n, p, _fmt(trial_no)) + [_fmt(seed.derived), _fmt(len(g.edges))]
+        row = head("trial", n, p, _fmt(trial_no)) + [_fmt(seed.derived), _fmt(len(g))]
         times = [_fmt(b - a) for a, b in zip(laps, laps[1:])] if cfg.emit_timings else []
         return n, p, row + cells + times, payload
 
@@ -523,7 +523,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
         "k": cfg.k,
         "p": p,
         "seed": seed.derived,
-        "edges": len(g.edges),
+        "edges": len(g),
         "tfree_value": tres.value,
         "tfree_optimal": tres.optimal,
         "q_value": qres.value,
@@ -581,11 +581,11 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
     def one(n: int):
         host = complete_hypergraph(n, cfg.k)
         res = max_tfree_exact(host, cfg.budget)
-        tcount = len(turan_hypergraph(n, cfg.k).edges)
+        tcount = len(turan_hypergraph(n, cfg.k))
         # equality with the transversal count is the k-partite-optimum test
         equality = _fmt(res.value == tcount) if res.optimal else "unknown"
         return [
-            "result", _fmt(cfg.k), _fmt(n), _fmt(len(host.edges)),
+            "result", _fmt(cfg.k), _fmt(n), _fmt(len(host)),
             _fmt(res.value), _fmt(res.optimal), _fmt(tcount), equality, equality,
         ]
 

@@ -120,7 +120,7 @@ class EdgeSet:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        m = len(self.universe.edges)
+        m = len(self.universe)
         bad = [i for i in self.indices if not 0 <= i < m]
         if bad:
             raise ValueError(f"edge ids out of range: {sorted(bad)[:5]}")
@@ -144,7 +144,7 @@ class EdgeSet:
         return Hypergraph(self.universe.n, self.universe.k, self.edges)
 
     def complement(self) -> "EdgeSet":
-        allids = frozenset(range(len(self.universe.edges)))
+        allids = frozenset(range(len(self.universe)))
         return EdgeSet(self.universe, allids - self.indices)
 
 
@@ -290,14 +290,18 @@ def _check_partition(g: Hypergraph, part: VertexPartition) -> None:
         )
 
 
-def _crossing_mask(g: Hypergraph, assignment: Sequence[int]) -> np.ndarray:
+def _crossing_mask(
+    g: Hypergraph, assignment: Sequence[int], bits: np.ndarray | None = None
+) -> np.ndarray:
     """(m,) bool by edge id: does the edge cross the k-class assignment?
 
     This is the one crossing test.  With r == k classes, "meets every class"
-    is "all classes distinct".
+    is "all classes distinct".  A caller that already holds the class bits
+    ``1 << assignment[edge_array]`` may pass them as ``bits``.
     """
-    classes = np.asarray(assignment, dtype=np.int64)[g.edge_array]
-    return np.bitwise_count(np.bitwise_or.reduce(1 << classes, axis=1)) == g.k
+    if bits is None:
+        bits = 1 << np.asarray(assignment, dtype=np.int64)[g.edge_array]
+    return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)) == g.k
 
 
 def crossing_edges(g: Hypergraph, part: VertexPartition) -> EdgeSet:
@@ -327,7 +331,7 @@ def common_degree(
         if not 0 <= x < g.n:
             raise ValueError(f"vertex {x} out of range 0..{g.n - 1}")
     if part is None:
-        cross = [True] * len(g.edges)
+        cross = [True] * len(g)
     else:
         _check_partition(g, part)
         cross = _crossing_mask(g, part.assignment).tolist()
@@ -360,7 +364,7 @@ def co_neighborhood(g: Hypergraph, s: Iterable[int]):
         return frozenset(g.cores.get(vs, ()))
     if len(vs) == g.k - 2:
         out = set()
-        probe = g.vertex_edges[vs[0]] if vs else range(len(g.edges))
+        probe = g.vertex_edges[vs[0]] if vs else range(len(g))
         sset = set(vs)
         for i in probe:
             e = g.edges[i]
@@ -463,7 +467,7 @@ def partition_from_classes(class_sets: Iterable[Iterable[int]], n: int) -> Verte
 
 
 def to_text(g: Hypergraph) -> str:
-    lines = [f"{g.n} {g.k} {len(g.edges)}"]
+    lines = [f"{g.n} {g.k} {len(g)}"]
     for e in g.edges:
         lines.append(" ".join(str(v) for v in e))
     return "\n".join(lines) + "\n"

@@ -913,9 +913,9 @@ def size_balance_report(
     balanced = is_balanced(part, n)
     exact = n % 4 == 0 and all(s == n // 4 for s in part.class_sizes)
     return SizeBalanceReport(
-        size=len(f.edges),
+        size=len(f),
         bound=bound,
-        size_ok=len(f.edges) >= bound,
+        size_ok=len(f) >= bound,
         balanced=balanced,
         exact_quarters=exact,
     )

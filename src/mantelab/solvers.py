@@ -10,6 +10,7 @@ witness are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -129,7 +130,7 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     moves = 0
     while True:
         bits = 1 << a[e]
-        cross = _crossing_mask(h, a)
+        cross = _crossing_mask(h, a, bits)
         hits = []
         for d in range(k):
             other = np.bitwise_or.reduce(bits[:, others[d]], axis=1)
@@ -187,6 +188,19 @@ def max_cut4_local(h: Hypergraph, seed: TrialSeed, restarts: int = 8) -> SolveRe
 # exact maximum 4-partite cut
 
 
+def _max_class_product(sizes: tuple[int, ...], r: int) -> int:
+    """Largest prod(sizes[c] + r_c) over splits of r free vertices among the classes.
+
+    Moving one free vertex from a class of final size y to a class of final
+    size x <= y - 2 never lowers the product, as (x + 1)(y - 1) >= xy, so
+    filling the smallest class first is optimal.
+    """
+    filled = list(sizes)
+    for _ in range(r):
+        filled[filled.index(min(filled))] += 1
+    return math.prod(filled)
+
+
 def max_cut4_exact(
     h: Hypergraph, budget: Budget | None = None, use_symmetry: bool = True
 ) -> SolveResult:
@@ -209,24 +223,39 @@ def max_cut4_exact(
     at most two are.  A free vertex takes one class, so it meets the demand
     of one class at most: the bound is crossing + loose + the sum over free
     vertices of their largest per-class demand.
+
+    A second bound counts 4-sets.  With ``sizes[c]`` vertices in class c and
+    r free, a completion with r_c more in class c has prod(sizes[c] + r_c)
+    crossing 4-sets, prod(sizes) of them among the assigned vertices, which
+    hold ``cross`` crossing edges.  So at most ``cross`` + slack edges cross,
+    where slack = max over splits of r of prod(sizes[c] + r_c) - prod(sizes).
+    The slack depends on ``sizes`` alone and is memoised per call.  A node
+    is pruned when either bound is at most the incumbent; the complete host
+    closes at the root.
     """
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
-    n, m = h.n, len(h.edges)
+    n, m = h.n, len(h)
     ticker = _Ticker(budget)
     order = sorted(range(n), key=lambda v: (-len(h.vertex_edges[v]), v))
     ve = [sum(1 << i for i in h.vertex_edges[v]) for v in range(n)]
     seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
     best = {"value": seed_value, "assign": seed_assign}
     assign = [-1] * n
+    slack: dict[tuple[int, ...], int] = {}
 
     def dfs(
-        pos: int, used: int, s: tuple[int, ...], a1: int, a2: int, a3: int, a4: int, dead: int
+        pos: int, used: int, sizes: tuple[int, ...], s: tuple[int, ...],
+        a1: int, a2: int, a3: int, a4: int, dead: int,
     ) -> None:
         if best["value"] == m:
             return
         ticker.tick()
         cross = (a4 & ~dead).bit_count()
+        if sizes not in slack:
+            slack[sizes] = _max_class_product(sizes, n - pos) - math.prod(sizes)
+        if cross + slack[sizes] <= best["value"]:
+            return
         bound = cross + m - (a3 | dead).bit_count()
         open3 = a3 & ~(a4 | dead)
         for u in order[pos:]:
@@ -248,6 +277,7 @@ def max_cut4_exact(
             dfs(
                 pos + 1,
                 max(used, c + 1),
+                sizes[:c] + (sizes[c] + 1,) + sizes[c + 1:],
                 s[:c] + (sc | e,) + s[c + 1:],
                 a1 | e,
                 a2 | (a1 & e),
@@ -258,7 +288,7 @@ def max_cut4_exact(
 
     budget_hit = False
     try:
-        dfs(0, 0, (0, 0, 0, 0), 0, 0, 0, 0, 0)
+        dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
         completed = True
     except _BudgetExceeded:
         completed = False
@@ -293,7 +323,7 @@ def is_4partite(f: Hypergraph, budget: Budget | None = None) -> bool | None:
     res = max_cut4_exact(f, budget)
     if not res.optimal:
         return None
-    return res.value == len(f.edges)
+    return res.value == len(f)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +391,7 @@ def max_tfree_repair(
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
-    best = _greedy_tfree(triples, len(h.edges), random.Random(seed.derived), max(1, restarts))
+    best = _greedy_tfree(triples, len(h), random.Random(seed.derived), max(1, restarts))
     cut_rng = random.Random(seed.derived)
     crossing = _crossing_incumbent(h, cut_rng, restarts)
     if len(crossing) > len(best):
@@ -371,7 +401,7 @@ def max_tfree_repair(
         witness=EdgeSet(h, frozenset(best)),
         optimal=False,
         stats=SearchStats(
-            nodes=len(h.edges) - len(best),
+            nodes=len(h) - len(best),
             elapsed=time.monotonic() - t0,
             budget_hit=False,
         ),
@@ -414,7 +444,7 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
-    m = len(h.edges)
+    m = len(h)
     if not len(triples):
         return SolveResult(
             value=m,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import combinations, product
 
@@ -220,24 +221,31 @@ class TestTfreeExactGolden:
 
 
 # max_cut4_exact results recorded from the solver with per-edge counters and
-# undo logs that the bitset state replaced; a rewrite that keeps the vertex
-# order, symmetry rule, seed incumbent and bound must reproduce them exactly:
+# undo logs that the bitset state replaced; node counts re-recorded when the
+# class-size product bound joined the demand bound, which moved no value,
+# assignment or flag.  A rewrite that keeps the vertex order, symmetry rule,
+# seed incumbent and bounds must reproduce them exactly:
 # (host, node budget, use_symmetry, value, assignment, optimal, nodes)
 _GOLDEN_CUT = [
-    ("gknp-8-0.5-0", None, True, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 377),
+    ("gknp-8-0.5-0", None, True, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 353),
     ("gknp-9-0.3-1", None, True, 15, (0, 1, 1, 2, 2, 2, 0, 3, 3), True, 911),
-    ("gknp-9-0.5-1", None, True, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1396),
-    ("gknp-9-0.7-0", None, True, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 2307),
-    ("gknp-9-1.0-0", None, True, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 3475),
+    ("gknp-9-0.5-1", None, True, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1291),
+    ("gknp-9-0.7-0", None, True, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 380),
+    ("gknp-9-1.0-0", None, True, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 1),
     ("gknp-10-0.3-0", None, True, 19, (2, 0, 1, 2, 3, 1, 0, 0, 2, 3), True, 3196),
-    ("gknp-10-0.5-0", None, True, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7479),
-    ("gknp-8-0.5-1", None, False, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 10017),
-    ("complete-8", None, True, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 880),
+    ("gknp-10-0.5-0", None, True, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7419),
+    ("gknp-8-0.5-1", None, False, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 7533),
+    ("complete-8", None, True, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 1),
     # the local-cut seed already crosses every edge, so no node is searched
     ("turan-9", None, True, 24, (2, 2, 2, 0, 0, 3, 3, 1, 1), True, 0),
     ("empty-7", None, True, 0, (0, 1, 2, 3, 0, 1, 2), True, 0),
-    ("complete-11", 1, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), False, 2),
-    ("complete-11", 300, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), False, 301),
+    # the seed meets the largest class-size product, 3 * 3 * 3 * 2, so the
+    # root closes within any budget
+    ("complete-11", 1, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
+    ("complete-11", 300, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
+    # the root cannot close here, so a budget returns the seed uncertified
+    ("gknp-10-0.5-0", 1, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 2),
+    ("gknp-10-0.5-0", 300, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 301),
 ]
 
 
@@ -469,6 +477,32 @@ class TestCut4Exact:
             res = max_cut4_exact(h)
             assert len(crossing_edges(h, res.witness)) == res.value
 
+    def test_dense_hosts_match_assignment_oracle(self, rng):
+        # p >= 0.7 is where the class-size product bound prunes
+        for _ in range(20):
+            h = random_hypergraph(rng, rng.randint(5, 9), 4, p=rng.uniform(0.7, 1.0))
+            want = brute_force_cut4(h)
+            for use_symmetry in (True, False):
+                res = max_cut4_exact(h, use_symmetry=use_symmetry)
+                assert res.value == want and res.optimal
+                assert len(crossing_edges(h, res.witness)) == want
+
+    def test_class_product_fill_matches_every_split(self):
+        from mantelab.solvers import _max_class_product
+
+        for n in range(13):
+            for pos in range(n + 1):
+                for sizes in product(range(pos + 1), repeat=4):
+                    if sum(sizes) != pos:
+                        continue
+                    r = n - pos
+                    best = max(
+                        math.prod(x + y for x, y in zip(sizes, split))
+                        for split in product(range(r + 1), repeat=4)
+                        if sum(split) == r
+                    )
+                    assert _max_class_product(sizes, r) == best
+
 
 class TestCut4Local:
     def test_reaches_transversal_value(self):
@@ -542,7 +576,9 @@ class TestIs4Partite:
         assert is_4partite(empty_hypergraph(5, 4)) is True
 
     def test_budget_exhaustion_is_indeterminate(self):
-        h = complete_hypergraph(9, 4)
+        # not 4-partite (the cut certifies 28 of its 112 edges), but the root
+        # cannot close, so two nodes decide nothing
+        h = _golden_host("gknp-10-0.5-0")
         assert is_4partite(h, Budget(max_nodes=2)) is None
 
 
