@@ -13,7 +13,6 @@ from .hypergraph import (
     PairGraph,
     VertexPartition,
     build_hypergraph,
-    co_neighborhood,
     common_degree,
     complete_hypergraph,
     crossing_edges,
@@ -25,7 +24,6 @@ from .hypergraph import (
     link,
     partition_from_classes,
     read_text,
-    restrict_bracket,
     shadow_graph,
     to_text,
     turan_hypergraph,
@@ -34,12 +32,9 @@ from .hypergraph import (
 from .motifs import (
     MotifWitness,
     count_T,
-    count_gadgets,
     find_T,
-    gadget_witness,
     generalized_triangle,
     t_copy_triples,
-    t_through_edges,
 )
 from .proplab import (
     AuditConstants,
@@ -48,16 +43,13 @@ from .proplab import (
     DecompositionReport,
     GapReport,
     LowPairReport,
-    SizeBalanceReport,
     chernoff_c,
     concentration_report,
-    covered_quadruples,
     decomposition,
     defect_audit,
     heavy_triple_count,
     low_pair_cut_gap,
     low_pairs,
-    size_balance_report,
 )
 from .randgen import (
     TrialSeed,
@@ -69,12 +61,10 @@ from .randgen import (
     sample_gknp_bernoulli,
 )
 from .solvers import (
-    BipartiteHalf,
     Budget,
     SearchStats,
     SolveResult,
     best_partition_for,
-    bipartite_half,
     is_4partite,
     max_cut4_exact,
     max_cut4_local,

@@ -37,9 +37,7 @@ __all__ = [
     "crossing_edges",
     "crossing_link",
     "common_degree",
-    "co_neighborhood",
     "shadow_graph",
-    "restrict_bracket",
     "is_balanced",
     "turan_hypergraph",
     "partition_from_classes",
@@ -108,9 +106,6 @@ class Hypergraph:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
         return len(self.vertex_edges[v])
 
-    def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self.edge_set
-
 
 @dataclass(frozen=True)
 class EdgeSet:
@@ -143,10 +138,6 @@ class EdgeSet:
     def as_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.universe.n, self.universe.k, self.edges)
 
-    def complement(self) -> "EdgeSet":
-        allids = frozenset(range(len(self.universe)))
-        return EdgeSet(self.universe, allids - self.indices)
-
 
 @dataclass(frozen=True)
 class VertexPartition:
@@ -176,9 +167,6 @@ class VertexPartition:
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
-
-    def class_of(self, v: int) -> int:
-        return self.assignment[v]
 
 
 @dataclass(frozen=True)
@@ -267,7 +255,7 @@ def edge_subset(host: Hypergraph, edges: Iterable[Iterable[int]]) -> EdgeSet:
 
 
 # ---------------------------------------------------------------------------
-# links, degrees, co-neighborhoods
+# links and degrees
 
 
 def link(g: Hypergraph, v: int) -> Hypergraph:
@@ -349,67 +337,12 @@ def common_degree(
     return count
 
 
-def co_neighborhood(g: Hypergraph, s: Iterable[int]):
-    """Completions of a partial edge.
-
-    For |s| == k-1 returns the frozenset of vertices x with s+{x} an edge; for
-    |s| == k-2 returns the frozenset of ascending pairs completing s.
-    """
-    vs = tuple(sorted(s))
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"repeated vertex in {vs}")
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
-        raise ValueError(f"vertex out of range 0..{g.n - 1} in {vs}")
-    if len(vs) == g.k - 1:
-        return frozenset(g.cores.get(vs, ()))
-    if len(vs) == g.k - 2:
-        out = set()
-        probe = g.vertex_edges[vs[0]] if vs else range(len(g))
-        sset = set(vs)
-        for i in probe:
-            e = g.edges[i]
-            if sset <= set(e):
-                out.add(tuple(x for x in e if x not in sset))
-        return frozenset(out)
-    raise ValueError(f"|s| must be k-1 or k-2, got {len(vs)} for k={g.k}")
-
-
 def shadow_graph(h: Hypergraph) -> PairGraph:
     """The graph of all vertex pairs covered by some edge."""
     pairs: set[Pair] = set()
     for e in h.edges:
         pairs.update(combinations(e, 2))
     return PairGraph(h.n, frozenset(pairs))
-
-
-def restrict_bracket(
-    g: Hypergraph,
-    a_parts: Iterable[Iterable[int]],
-    b_parts: Iterable[Iterable[int]],
-) -> EdgeSet:
-    """Edges of g expressible as a disjoint union a | b with a in A, b in B.
-
-    Non-disjoint unions are skipped, not errors; A and B arities must sum to k.
-    """
-    aset = [tuple(sorted(x)) for x in a_parts]
-    bset = [tuple(sorted(x)) for x in b_parts]
-    if not aset or not bset:
-        return EdgeSet(g, frozenset())
-    asize = {len(x) for x in aset}
-    bsize = {len(x) for x in bset}
-    if len(asize) != 1 or len(bsize) != 1:
-        raise ValueError("A and B must each contain subsets of one size")
-    if asize.pop() + bsize.pop() != g.k:
-        raise ValueError(f"arities must sum to k={g.k}")
-    ids = set()
-    for a, b in product(set(aset), set(bset)):
-        if set(a) & set(b):
-            continue
-        e = tuple(sorted(a + b))
-        i = g.edge_ids.get(e)
-        if i is not None:
-            ids.add(i)
-    return EdgeSet(g, frozenset(ids))
 
 
 def is_balanced(part: VertexPartition, n: int) -> bool:

@@ -1,32 +1,20 @@
-"""Detection, enumeration, and counting of generalized triangles and gadgets.
+"""Detection, enumeration, and counting of generalized triangles.
 
 The generalized triangle on 2k-1 vertices is the 3-edge k-uniform pattern in
 which two edges share k-1 vertices and the third edge contains their two apex
 vertices plus fresh tails.  A copy is identified by its unordered edge triple
 (the pattern has automorphisms, so edge-set identity avoids double counting).
-
-The anchored gadget counted by :func:`count_gadgets` is a pair of crossing
-edges sharing a triple (x, y, z), whose apex pair (w1, w2) lies in the first
-partition class inside some certifying host edge W with x, y, z outside W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .hypergraph import (
-    Edge,
-    EdgeSet,
-    Hypergraph,
-    Pair,
-    VertexPartition,
-    _check_partition,
-    crossing_link,
-)
+from .hypergraph import Edge, Hypergraph, Pair
 
 __all__ = [
     "MotifWitness",
@@ -34,25 +22,19 @@ __all__ = [
     "find_T",
     "count_T",
     "t_copy_triples",
-    "t_through_edges",
-    "count_gadgets",
-    "gadget_witness",
 ]
 
 KIND_TRIANGLE = "generalized-triangle"
-KIND_GADGET = "anchored-gadget"
 
 _SUPPORTED_K = (2, 3, 4)
 
 
 @dataclass(frozen=True)
 class MotifWitness:
-    """An embedded copy of the triangle pattern or of the anchored gadget.
+    """An embedded copy of the triangle pattern.
 
-    Triangle copies carry (e1, e2, e3) with e1, e2 sharing the core, the apex
-    pair e1 ^ e2, and e3's tail vertices.  Gadget copies carry the two
-    crossing edges, the apex (anchor) pair, the shared triple, and the
-    certifying edge.
+    Carries (e1, e2, e3) with e1, e2 sharing the core, the apex pair e1 ^ e2,
+    and e3's tail vertices.
     """
 
     kind: str
@@ -60,8 +42,6 @@ class MotifWitness:
     core: tuple[int, ...] | None = None
     apex: Pair | None = None
     tails: tuple[int, ...] | None = None
-    shared: tuple[int, ...] | None = None
-    certifying: Edge | None = None
 
 
 def generalized_triangle(k: int) -> Hypergraph:
@@ -174,94 +154,3 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
     rows = np.concatenate(held)
     del held
     return rows[np.lexsort(rows.T[::-1])]
-
-
-def t_through_edges(h: Hypergraph, b: EdgeSet) -> int:
-    """Number of copies whose edge triple meets the given edge subset."""
-    if b.universe is not h and b.universe != h:
-        raise ValueError("edge set is not over this host hypergraph")
-    return count_T(h) - count_T(b.complement().as_hypergraph())
-
-
-# ---------------------------------------------------------------------------
-# anchored gadgets
-
-
-def _certifiers(
-    g: Hypergraph, part: VertexPartition, b1: EdgeSet | Iterable[Iterable[int]]
-) -> dict[Pair, list[frozenset[int]]]:
-    """Per first-class pair, the anchor edges holding it; ValueError on a bad anchor edge."""
-    _check_partition(g, part)
-    edges = b1.edges if isinstance(b1, EdgeSet) else [tuple(sorted(e)) for e in b1]
-    cert: dict[Pair, list[frozenset[int]]] = {}
-    for idx, e in enumerate(edges):
-        if len(e) != g.k or len(set(e)) != g.k:
-            raise ValueError(f"edge {idx} of the anchor set is not a {g.k}-set: {e}")
-        if e[0] < 0 or e[-1] >= g.n:
-            raise ValueError(f"edge {idx} of the anchor set out of range: {e}")
-        first = sorted(v for v in e if part.class_of(v) == 0)
-        if len(first) < 2:
-            raise ValueError(
-                f"edge {idx} of the anchor set has {len(first)} vertices in the "
-                f"first class; at least 2 required: {tuple(e)}"
-            )
-        w = frozenset(e)
-        for pr in combinations(first, 2):
-            cert.setdefault(pr, []).append(w)
-    return cert
-
-
-def count_gadgets(
-    g: Hypergraph, part: VertexPartition, b1: EdgeSet | Iterable[Iterable[int]]
-) -> dict[Pair, int]:
-    """Per anchor pair, the number of shared triples completing a gadget.
-
-    For every pair (w1, w2) in the first class occurring together in some
-    anchor-set edge W: counts triples (x, y, z) with both w1xyz and w2xyz
-    crossing edges of g and x, y, z outside W for at least one certifying W
-    (existential, not summed over W).  Pairs with no certifying edge are
-    absent from the map.
-    """
-    cert = _certifiers(g, part, b1)
-    anchors = {w for pr in cert for w in pr}
-    rem = {w: crossing_link(g, w, part).edge_set for w in anchors}
-    out: dict[Pair, int] = {}
-    for pr, ws in cert.items():
-        w1, w2 = pr
-        common = rem[w1] & rem[w2]
-        count = 0
-        for t in common:
-            tset = set(t)
-            if any(not (w & tset) for w in ws):
-                count += 1
-        out[pr] = count
-    return out
-
-
-def gadget_witness(
-    g: Hypergraph,
-    part: VertexPartition,
-    b1: EdgeSet | Iterable[Iterable[int]],
-    pair: Pair,
-) -> MotifWitness | None:
-    """One witness gadget for the given anchor pair, or None."""
-    cert = _certifiers(g, part, b1)
-    pr = tuple(sorted(pair))
-    if pr not in cert:
-        return None
-    w1, w2 = pr
-    for t in sorted(crossing_link(g, w1, part).edge_set & crossing_link(g, w2, part).edge_set):
-        tset = set(t)
-        for w in cert[pr]:
-            if not (w & tset):
-                return MotifWitness(
-                    kind=KIND_GADGET,
-                    edges=(
-                        tuple(sorted(t + (w1,))),
-                        tuple(sorted(t + (w2,))),
-                    ),
-                    apex=pr,
-                    shared=t,
-                    certifying=tuple(sorted(w)),
-                )
-    return None

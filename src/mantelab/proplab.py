@@ -20,7 +20,6 @@ from typing import Iterable
 import numpy as np
 
 from .hypergraph import (
-    Edge,
     EdgeSet,
     Hypergraph,
     Pair,
@@ -29,7 +28,6 @@ from .hypergraph import (
     _check_partition,
     _crossing_mask,
     crossing_edges,
-    is_balanced,
     shadow_graph,
 )
 from .motifs import find_T
@@ -45,15 +43,12 @@ __all__ = [
     "heavy_triple_count",
     "DecompositionReport",
     "decomposition",
-    "covered_quadruples",
     "AuditRow",
     "AuditReport",
     "defect_audit",
     "relabel_for_largest_defect",
     "GapReport",
     "low_pair_cut_gap",
-    "SizeBalanceReport",
-    "size_balance_report",
 ]
 
 
@@ -537,67 +532,6 @@ def decomposition(
 
 
 # ---------------------------------------------------------------------------
-# covered quadruples
-
-
-def covered_quadruples(
-    g: Hypergraph,
-    v: int,
-    s: Iterable[int],
-    e_cover: EdgeSet | Iterable[Iterable[int]],
-    q: Hypergraph,
-) -> tuple[int, EdgeSet]:
-    """Candidate and realized quadruples x+t with x in S, t in Q, certified by the cover.
-
-    The cover must consist of host edges through v, each meeting S, and every
-    x in S must lie in some cover edge.  Q must be a (k-1)-uniform
-    hypergraph whose edges all complete v to host edges.  A quadruple
-    qualifies when some cover edge contains x and avoids all of t.  Returns
-    the number of qualifying vertex 4-sets and the subset of them that are
-    host edges.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    svs = sorted(set(s))
-    cover = [tuple(sorted(w)) for w in (e_cover.edges if isinstance(e_cover, EdgeSet) else e_cover)]
-    for i, w in enumerate(cover):
-        if w not in g.edge_set:
-            raise ValueError(f"cover edge {i} is not a host edge: {w}")
-        if v not in w:
-            raise ValueError(f"cover edge {i} does not contain vertex {v}: {w}")
-        if not set(w) & set(svs):
-            raise ValueError(f"cover edge {i} meets no vertex of S: {w}")
-    by_x: dict[int, list[frozenset[int]]] = {x: [] for x in svs}
-    for w in cover:
-        for x in w:
-            if x in by_x:
-                by_x[x].append(frozenset(w))
-    uncovered = [x for x in svs if not by_x[x]]
-    if uncovered:
-        raise ValueError(f"no cover edge contains S vertices {uncovered[:5]}")
-    if q.k != g.k - 1:
-        raise ValueError(f"Q must be {g.k - 1}-uniform, got {q.k}")
-    for t in q.edges:
-        if v in t or tuple(sorted(t + (v,))) not in g.edge_set:
-            raise ValueError(f"Q edge {t} does not complete vertex {v} to a host edge")
-    candidates: set[Edge] = set()
-    realized: set[int] = set()
-    for x in svs:
-        ws = by_x[x]
-        for t in q.edges:
-            if x in t:
-                continue
-            tset = set(t)
-            if any(not (w & tset) for w in ws):
-                quad = tuple(sorted(t + (x,)))
-                candidates.add(quad)
-                j = g.edge_ids.get(quad)
-                if j is not None:
-                    realized.add(j)
-    return len(candidates), EdgeSet(g, frozenset(realized))
-
-
-# ---------------------------------------------------------------------------
 # audit of the decomposition inequalities
 
 
@@ -871,51 +805,4 @@ def _gap_report(
         discount=discount,
         certified=q_certified,
         interpretation=interpretation,
-    )
-
-
-# ---------------------------------------------------------------------------
-# maximizer size / balance check
-
-
-@dataclass(frozen=True)
-class SizeBalanceReport:
-    size: int
-    bound: float
-    size_ok: bool
-    balanced: bool
-    exact_quarters: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "bound": self.bound,
-            "size_ok": self.size_ok,
-            "balanced": self.balanced,
-            "exact_quarters": self.exact_quarters,
-        }
-
-
-def size_balance_report(
-    g: Hypergraph,
-    f: Hypergraph,
-    part: VertexPartition,
-    p: float,
-    eps: float,
-) -> SizeBalanceReport:
-    """Size of f against (3/32 - eps) C(n,4) p, and balancedness of the partition.
-
-    At desk scale the balance band admits only classes of exactly n/4, which
-    ``exact_quarters`` makes explicit.
-    """
-    n = g.n
-    bound = (3.0 / 32.0 - eps) * math.comb(n, 4) * p
-    balanced = is_balanced(part, n)
-    exact = n % 4 == 0 and all(s == n // 4 for s in part.class_sizes)
-    return SizeBalanceReport(
-        size=len(f),
-        bound=bound,
-        size_ok=len(f) >= bound,
-        balanced=balanced,
-        exact_quarters=exact,
     )

@@ -20,7 +20,6 @@ import numpy as np
 from .hypergraph import (
     EdgeSet,
     Hypergraph,
-    PairGraph,
     VertexPartition,
     _crossing_mask,
     crossing_edges,
@@ -34,14 +33,12 @@ __all__ = [
     "Budget",
     "SearchStats",
     "SolveResult",
-    "BipartiteHalf",
     "max_tfree_exact",
     "max_tfree_repair",
     "max_cut4_exact",
     "max_cut4_local",
     "best_partition_for",
     "is_4partite",
-    "bipartite_half",
 ]
 
 MAX_COPIES_EXACT = 10**7
@@ -70,15 +67,6 @@ class SolveResult:
     witness: EdgeSet | VertexPartition
     optimal: bool
     stats: SearchStats
-
-
-@dataclass(frozen=True)
-class BipartiteHalf:
-    """A 2-partition of a graph's vertices and its crossing edge set."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-    cross: PairGraph
 
 
 class _BudgetExceeded(Exception):
@@ -527,35 +515,3 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
         optimal=completed,
         stats=SearchStats(nodes=ticker.nodes, elapsed=ticker.elapsed(), budget_hit=budget_hit),
     )
-
-
-# ---------------------------------------------------------------------------
-# bipartite half extraction
-
-
-def bipartite_half(p: PairGraph) -> BipartiteHalf:
-    """A 2-partition whose crossing edges R satisfy |R| >= |edges| / 2.
-
-    Local moves: while some vertex has fewer than half of its neighbors on
-    the other side, move the lowest such vertex.  Every move strictly
-    increases the cut, so the loop terminates at a local optimum, where each
-    vertex has cross-degree at least half its degree.
-    """
-    side = [v & 1 for v in range(p.n)]
-    while True:
-        moved = False
-        for v in range(p.n):
-            nbrs = p.adjacency[v]
-            if not nbrs:
-                continue
-            cross = sum(1 for u in nbrs if side[u] != side[v])
-            if 2 * cross < len(nbrs):
-                side[v] ^= 1
-                moved = True
-                break
-        if not moved:
-            break
-    left = frozenset(v for v in range(p.n) if side[v] == 0)
-    right = frozenset(v for v in range(p.n) if side[v] == 1)
-    cross_edges = frozenset(e for e in p.edges if side[e[0]] != side[e[1]])
-    return BipartiteHalf(left=left, right=right, cross=PairGraph(p.n, cross_edges))

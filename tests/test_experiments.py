@@ -3,11 +3,13 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
 from functools import cached_property
 from pathlib import Path
 
 import pytest
 
+import mantelab
 from mantelab.cli import main as cli_main
 from mantelab.experiments import (
     ConfigError,
@@ -570,3 +572,20 @@ class TestBenchmarkHooks:
     def test_indexes_are_cached_properties(self):
         for name in _load_bench_worker().INDEXES:
             assert isinstance(vars(Hypergraph).get(name), cached_property), name
+
+
+class TestExports:
+    """A name left in ``__all__`` after its definition is gone breaks star imports."""
+
+    @pytest.mark.parametrize(
+        "module_name",
+        sorted(f"mantelab.{m.name}" for m in pkgutil.iter_modules(mantelab.__path__)),
+    )
+    def test_all_names_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+    def test_package_star_import(self):
+        namespace: dict = {}
+        exec("from mantelab import *", namespace)
+        assert "max_tfree_exact" in namespace

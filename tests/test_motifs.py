@@ -6,23 +6,17 @@ import numpy as np
 import pytest
 
 from mantelab.hypergraph import (
-    VertexPartition,
     build_hypergraph,
     complete_hypergraph,
-    edge_subset,
     partition_from_classes,
     turan_hypergraph,
 )
 from mantelab.motifs import (
-    KIND_GADGET,
     KIND_TRIANGLE,
     count_T,
-    count_gadgets,
     find_T,
-    gadget_witness,
     generalized_triangle,
     t_copy_triples,
-    t_through_edges,
 )
 
 from conftest import is_triangle_triple, naive_count_triangles, random_hypergraph
@@ -186,113 +180,3 @@ class TestCount:
         assert set(sizes) == {comb(k + 1, k - 2)}
         # the scan stops at the first block that takes the count past 10
         assert sum(sizes[:-1]) <= 10 < sum(sizes)
-
-
-class TestThroughEdges:
-    def test_all_edges(self):
-        h = complete_hypergraph(5, 3)
-        b = edge_subset(h, h.edges)
-        assert t_through_edges(h, b) == count_T(h)
-
-    def test_empty(self):
-        h = complete_hypergraph(5, 3)
-        assert t_through_edges(h, edge_subset(h, [])) == 0
-
-    def test_single_edge_of_pattern(self):
-        h = generalized_triangle(4)
-        b = edge_subset(h, [h.edges[0]])
-        assert t_through_edges(h, b) == 1
-
-    def test_matches_direct_count(self, rng):
-        for _ in range(25):
-            k = rng.choice([3, 4])
-            h = random_hypergraph(rng, rng.randint(2 * k - 1, 9), k, p=0.5)
-            ids = frozenset(
-                i for i in range(len(h.edges)) if rng.random() < 0.4
-            )
-            from mantelab.hypergraph import EdgeSet
-
-            b = EdgeSet(h, ids)
-            direct = sum(
-                1
-                for i, j, l in t_copy_triples(h)
-                if i in ids or j in ids or l in ids
-            )
-            assert t_through_edges(h, b) == direct
-
-
-def equal_parts_16():
-    return VertexPartition(4, tuple(v // 4 for v in range(16)))
-
-
-class TestGadgets:
-    def test_empty_anchor_set(self):
-        g = complete_hypergraph(16, 4)
-        assert count_gadgets(g, equal_parts_16(), []) == {}
-
-    def test_complete_host_single_anchor_edge(self):
-        # W has both anchors in the first class and two vertices in the second:
-        # triples must avoid W, leaving 2 * 4 * 4 choices
-        g = complete_hypergraph(16, 4)
-        part = equal_parts_16()
-        counts = count_gadgets(g, part, [(0, 1, 4, 5)])
-        assert counts == {(0, 1): 32}
-
-    def test_no_crossing_edges(self):
-        g = build_hypergraph(16, 4, [(0, 1, 2, 3)])
-        part = equal_parts_16()  # edge 0123 has 0,1,2,3 in class 0: not crossing
-        counts = count_gadgets(g, part, [(0, 1, 2, 3)])
-        assert counts == {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0, (2, 3): 0}
-
-    def test_malformed_anchor_edge(self):
-        g = complete_hypergraph(16, 4)
-        with pytest.raises(ValueError, match="at least 2"):
-            count_gadgets(g, equal_parts_16(), [(0, 4, 8, 12)])
-
-    @pytest.mark.parametrize("anchor", [(0, 1, 2, 9), (0, 1, 1, 2), (-1, 0, 2, 3)])
-    @pytest.mark.parametrize(
-        "fn",
-        [
-            lambda g, part, b1: count_gadgets(g, part, b1),
-            lambda g, part, b1: gadget_witness(g, part, b1, (0, 1)),
-        ],
-        ids=["count_gadgets", "gadget_witness"],
-    )
-    def test_bad_anchor_edge(self, fn, anchor):
-        # 0, 1, 2 share the first class, so only the anchor's shape is wrong
-        g = complete_hypergraph(8, 4)
-        part = VertexPartition(4, (0, 0, 0, 1, 1, 2, 2, 3))
-        with pytest.raises(ValueError, match="anchor set"):
-            fn(g, part, [anchor])
-
-    def test_existential_not_summed(self):
-        # two certifying edges around the same pair: a triple avoided by either counts once
-        g = complete_hypergraph(16, 4)
-        part = equal_parts_16()
-        counts = count_gadgets(g, part, [(0, 1, 4, 5), (0, 1, 6, 7)])
-        # triples (x,y,z) in A2 x A3 x A4 with x outside {4,5} or outside {6,7}: all 64
-        assert counts == {(0, 1): 64}
-
-    def test_witness_yields_triangle(self, rng):
-        produced = 0
-        for _ in range(40):
-            g = random_hypergraph(rng, 12, 4, p=0.35)
-            part = VertexPartition(4, tuple(v % 4 for v in range(12)))
-            anchors = [
-                e
-                for e in g.edges
-                if sum(1 for v in e if part.class_of(v) == 0) >= 2
-            ][:3]
-            if not anchors:
-                continue
-            counts = count_gadgets(g, part, anchors)
-            for pair, cnt in counts.items():
-                if cnt == 0:
-                    continue
-                w = gadget_witness(g, part, anchors, pair)
-                assert w is not None and w.kind == KIND_GADGET
-                e1, e2 = w.edges
-                assert e1 in g.edge_set and e2 in g.edge_set
-                assert is_triangle_triple(e1, e2, w.certifying, 4)
-                produced += 1
-        assert produced > 5

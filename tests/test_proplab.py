@@ -9,7 +9,6 @@ from mantelab.hypergraph import (
     build_hypergraph,
     complete_hypergraph,
     crossing_edges,
-    edge_subset,
     empty_hypergraph,
     link,
     partition_from_classes,
@@ -20,14 +19,12 @@ from mantelab.proplab import (
     AuditConstants,
     chernoff_c,
     concentration_report,
-    covered_quadruples,
     decomposition,
     defect_audit,
     heavy_triple_count,
     low_pair_cut_gap,
     low_pairs,
     relabel_for_largest_defect,
-    size_balance_report,
 )
 from mantelab.randgen import derive_seed, random_partition, sample_gknp
 from mantelab.solvers import Budget, max_cut4_exact, max_cut4_local
@@ -373,56 +370,6 @@ class TestDecomposition:
             assert rep.heavy_rich == naive_rich
 
 
-class TestCoveredQuadruples:
-    def test_empty_q(self):
-        g = complete_hypergraph(10, 4)
-        cover = edge_subset(g, [(0, 1, 2, 3)])
-        q = empty_hypergraph(10, 3)
-        count, realized = covered_quadruples(g, 0, [1], cover, q)
-        assert count == 0 and len(realized) == 0
-
-    def test_single_candidate_realized(self):
-        g = complete_hypergraph(10, 4)
-        cover = edge_subset(g, [(0, 1, 2, 3)])  # contains v=0 and x=1
-        q = build_hypergraph(10, 3, [(4, 5, 6)])
-        count, realized = covered_quadruples(g, 0, [1], cover, q)
-        assert count == 1 and len(realized) == 1
-        assert (1, 4, 5, 6) in realized
-
-    def test_triple_meeting_cover_blocked(self):
-        g = complete_hypergraph(10, 4)
-        cover = edge_subset(g, [(0, 1, 2, 3)])
-        q = build_hypergraph(10, 3, [(2, 5, 6)])  # 2 is inside the cover edge
-        count, realized = covered_quadruples(g, 0, [1], cover, q)
-        assert count == 0 and len(realized) == 0
-
-    def test_coverage_violation(self):
-        g = complete_hypergraph(10, 4)
-        cover = edge_subset(g, [(0, 1, 2, 3)])
-        q = build_hypergraph(10, 3, [(4, 5, 6)])
-        with pytest.raises(ValueError, match="no cover edge contains"):
-            covered_quadruples(g, 0, [1, 9], cover, q)
-
-    def test_q_outside_link_rejected(self):
-        g = build_hypergraph(10, 4, [(0, 1, 2, 3), (0, 4, 5, 6)])
-        cover = edge_subset(g, [(0, 1, 2, 3)])
-        q = build_hypergraph(10, 3, [(7, 8, 9)])
-        with pytest.raises(ValueError, match="does not complete"):
-            covered_quadruples(g, 0, [1], cover, q)
-
-    def test_realized_never_exceeds_candidates(self, rng):
-        for i in range(8):
-            g = sample_gknp(10, 4, 0.5, derive_seed(65, i))
-            stars = [e for e in g.edges if 0 in e and len(set(e) & {1, 2}) >= 1]
-            if not stars:
-                continue
-            cover = edge_subset(g, stars)
-            s = sorted({x for e in stars for x in e if x in (1, 2)})
-            q = link(g, 0)
-            count, realized = covered_quadruples(g, 0, s, cover, q)
-            assert len(realized) <= count
-
-
 class TestDefectAudit:
     def test_crossing_set_trivial_branch(self):
         g = complete_hypergraph(12, 4)
@@ -462,7 +409,7 @@ class TestDefectAudit:
                 sum(
                     1
                     for e in f.edges
-                    if sum(1 for v in e if relabeled.class_of(v) == 0) >= 2
+                    if sum(1 for v in e if relabeled.assignment[v] == 0) >= 2
                 )
             ]
             assert rep.size("defect_1") == sizes[0]
@@ -498,14 +445,14 @@ class TestCutGap:
     def test_unbalanced_partition_sign_recorded(self):
         # the exact cut of this instance is 115, certified by an unbudgeted
         # run in about 9 s (1 816 150 nodes) on a 2-core machine; the
-        # budgeted re-solve below only cross-checks the frozen value from the
-        # incumbent side
+        # node-budgeted re-solve below stops at the same incumbent on every
+        # machine and cross-checks the frozen value from below
         g = sample_gknp(14, 4, 0.6, derive_seed(68, 0))
         q_exact = 115
-        res = max_cut4_exact(g, Budget(max_seconds=8))
+        res = max_cut4_exact(g, Budget(max_nodes=200_000))
+        assert res.optimal is False
+        assert res.value == 110
         assert res.value <= q_exact
-        if res.optimal:
-            assert res.value == q_exact
         skew = partition_from_classes(
             [range(0, 8), range(8, 10), range(10, 12), range(12, 14)], 14
         )
@@ -527,25 +474,3 @@ class TestCutGap:
         g = empty_hypergraph(8, 4)
         rep = low_pair_cut_gap(g, equal_parts(8), 0.5, 0.5, 0, q_certified=True)
         assert rep.interpretation == "inconsistent-at-scale"
-
-
-class TestSizeBalance:
-    def test_complete_equal_parts_holds(self):
-        g = complete_hypergraph(16, 4)
-        part = equal_parts(16)
-        f = crossing_edges(g, part).as_hypergraph()
-        rep = size_balance_report(g, f, part, 1.0, eps=0.01)
-        assert len(f.edges) == 256  # (n/4)^4
-        assert rep.size_ok and rep.balanced and rep.exact_quarters
-
-    def test_empty_subhypergraph_fails_bound(self):
-        g = complete_hypergraph(16, 4)
-        rep = size_balance_report(g, empty_hypergraph(16, 4), equal_parts(16), 1.0, 0.01)
-        assert not rep.size_ok
-
-    def test_large_eps_trivially_holds(self):
-        g = complete_hypergraph(16, 4)
-        rep = size_balance_report(
-            g, empty_hypergraph(16, 4), equal_parts(16), 1.0, eps=3 / 32
-        )
-        assert rep.size_ok  # bound is zero

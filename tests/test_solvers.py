@@ -1,14 +1,13 @@
 import hashlib
 import math
 import random
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
 
 from mantelab.hypergraph import (
     EdgeSet,
-    PairGraph,
     VertexPartition,
     build_hypergraph,
     complete_hypergraph,
@@ -21,7 +20,6 @@ from mantelab.randgen import derive_seed, sample_gknp
 from mantelab.solvers import (
     Budget,
     best_partition_for,
-    bipartite_half,
     is_4partite,
     max_cut4_exact,
     max_cut4_local,
@@ -599,33 +597,19 @@ class TestCrossingFeasibility:
             assert tf.value >= ct.value
 
 
-class TestBipartiteHalf:
-    def test_triangle(self):
-        p = PairGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-        res = bipartite_half(p)
-        assert len(res.cross) == 2
-
-    def test_empty(self):
-        res = bipartite_half(PairGraph(4, frozenset()))
-        assert len(res.cross) == 0
-
-    def test_half_guarantee_random(self, rng):
-        for _ in range(40):
-            n = rng.randint(2, 12)
-            edges = frozenset(
-                pr for pr in combinations(range(n), 2) if rng.random() < 0.4
-            )
-            p = PairGraph(n, edges)
-            res = bipartite_half(p)
-            assert 2 * len(res.cross) >= len(p.edges)
-            # result is a genuine cut of the returned sides
-            assert res.left | res.right == frozenset(range(n))
-            assert not (res.left & res.right)
-            for u, v in res.cross.edges:
-                assert (u in res.left) != (v in res.left)
-
-    def test_bipartite_keeps_guarantee(self):
-        edges = frozenset((u, v) for u, v in product(range(0, 3), range(3, 6)))
-        p = PairGraph(6, frozenset(tuple(sorted(e)) for e in edges))
-        res = bipartite_half(p)
-        assert 2 * len(res.cross) >= len(p.edges)
+class TestStarFloor:
+    def test_star_is_copy_free_and_floors_the_optimum(self, rng):
+        # T's three edges share no vertex, so the edges through one vertex
+        # hold no copy and the copy-free optimum is at least the max degree
+        tight = 0
+        for k, lo, hi, p in [(2, 5, 10, 0.5), (3, 6, 9, 0.4), (4, 7, 8, 0.5)]:
+            for _ in range(8):
+                h = random_hypergraph(rng, rng.randint(lo, hi), k, p=p)
+                deg = np.bincount(h.edge_array.ravel(), minlength=h.n)
+                v = int(deg.argmax())
+                assert find_T(build_hypergraph(h.n, k, [e for e in h.edges if v in e])) is None
+                res = max_tfree_exact(h)
+                assert res.optimal and res.value >= deg.max()
+                tight += res.value == deg.max()
+        # hosts whose optimum is the star make an under-report by one fail
+        assert tight >= 5
