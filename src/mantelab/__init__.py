@@ -10,17 +10,14 @@ triangle-free subhypergraph is 4-partite.
 from .hypergraph import (
     EdgeSet,
     Hypergraph,
-    PairGraph,
     VertexPartition,
     build_hypergraph,
     common_degree,
     complete_hypergraph,
     crossing_edges,
-    crossing_link,
     edge_subset,
     empty_hypergraph,
     from_text,
-    is_balanced,
     link,
     partition_from_classes,
     read_text,
@@ -30,7 +27,6 @@ from .hypergraph import (
     write_text,
 )
 from .motifs import (
-    MotifWitness,
     count_T,
     find_T,
     generalized_triangle,
@@ -47,7 +43,6 @@ from .proplab import (
     concentration_report,
     decomposition,
     defect_audit,
-    heavy_triple_count,
     low_pair_cut_gap,
     low_pairs,
 )

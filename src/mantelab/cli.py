@@ -80,6 +80,13 @@ def _run_generate(args) -> int:
 
 
 def _run_solve(args) -> int:
+    for flag, value, low in (
+        ("--restarts", args.restarts, 1),
+        ("--max-nodes", args.max_nodes, 0),
+        ("--max-seconds", args.max_seconds, 0),
+    ):
+        if value is not None and not value >= low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     g = read_text(args.path)
     budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     seed = derive_seed(args.seed, 0)

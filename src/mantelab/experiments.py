@@ -206,6 +206,17 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     build_label = _shaped(doc.get("build_label", "unversioned"), "string", "build_label")
     if "\n" in build_label or "\r" in build_label:
         raise ConfigError("build_label must be a single line")
+    eps = float(_shaped(doc.get("eps", 0.25), "number", "eps"))
+    if not eps > 0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
+    restarts = _shaped(doc.get("restarts", 8), "integer", "restarts")
+    if restarts < 1:
+        raise ConfigError(f"restarts must be >= 1, got {restarts}")
+    max_nodes = _shaped(budget.get("max_nodes"), "integer or null", "budget.max_nodes")
+    max_seconds = _shaped(budget.get("max_seconds"), "number or null", "budget.max_seconds")
+    for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if limit is not None and not limit >= 0:
+            raise ConfigError(f"budget.{name} must be >= 0, got {limit}")
     raw = tuple(
         (key, json.dumps(value, sort_keys=True, separators=(",", ":")))
         for key, value in sorted(doc.items())
@@ -220,10 +231,10 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         trials=trials,
         master_seed=_shaped(doc.get("master_seed", 0), "integer", "master_seed"),
         tier=tier,
-        eps=float(_shaped(doc.get("eps", 0.25), "number", "eps")),
-        restarts=_shaped(doc.get("restarts", 8), "integer", "restarts"),
-        max_nodes=_shaped(budget.get("max_nodes"), "integer or null", "budget.max_nodes"),
-        max_seconds=_shaped(budget.get("max_seconds"), "number or null", "budget.max_seconds"),
+        eps=eps,
+        restarts=restarts,
+        max_nodes=max_nodes,
+        max_seconds=max_seconds,
         constants=consts,
         emit_timings=_shaped(doc.get("emit_timings", False), "boolean", "emit_timings"),
         build_label=build_label,
@@ -503,7 +514,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     pres = _cut(cfg, f, seed)
     part, relabeling = relabel_for_largest_defect(f, pres.witness)
     lap()
-    audit = defect_audit(g, f, part, p, cfg.constants, relabel=False)
+    audit = defect_audit(g, f, part, p, cfg.constants)
     rep = audit.decomposition
     lap()
     qres = _cut(cfg, g, seed)

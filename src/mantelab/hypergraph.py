@@ -1,4 +1,4 @@
-"""Core data model for k-uniform hypergraphs, vertex partitions, and shadow graphs.
+"""Core data model for k-uniform hypergraphs, vertex partitions, and shadows.
 
 Vertices are dense 0-based integers.  Edges are stored as ascending tuples,
 deduplicated, in lexicographic order; edge identity is set identity.  All
@@ -28,17 +28,14 @@ __all__ = [
     "Hypergraph",
     "EdgeSet",
     "VertexPartition",
-    "PairGraph",
     "build_hypergraph",
     "empty_hypergraph",
     "complete_hypergraph",
     "edge_subset",
     "link",
     "crossing_edges",
-    "crossing_link",
     "common_degree",
     "shadow_graph",
-    "is_balanced",
     "turan_hypergraph",
     "partition_from_classes",
     "to_text",
@@ -85,7 +82,9 @@ class Hypergraph:
         """(k-1)-subset index: core -> ascending completing vertices.
 
         The query contract is exact co-neighborhood: ``cores[s]`` lists every
-        x with ``s + {x}`` an edge; absent cores have no completion.
+        x with ``s + {x}`` an edge; absent cores have no completion.  No
+        library code reads it: it stays because ``perfbench/worker.py``
+        traces it as one of the cached hypergraph ``INDEXES``.
         """
         idx: dict[Edge, list[int]] = {}
         for e in self.edges:
@@ -167,33 +166,6 @@ class VertexPartition:
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
-
-
-@dataclass(frozen=True)
-class PairGraph:
-    """A simple graph stored as a set of ascending vertex pairs."""
-
-    n: int
-    edges: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad pair ({u}, {v}) for n={self.n}")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +271,6 @@ def crossing_edges(g: Hypergraph, part: VertexPartition) -> EdgeSet:
     return EdgeSet(g, frozenset(ids))
 
 
-def crossing_link(g: Hypergraph, v: int, part: VertexPartition) -> Hypergraph:
-    """Remainders of crossing edges through v; size is the crossing degree."""
-    _check_partition(g, part)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    cross = _crossing_mask(g, part.assignment).tolist()
-    rem = [tuple(x for x in g.edges[i] if x != v) for i in g.vertex_edges[v] if cross[i]]
-    return Hypergraph(g.n, g.k - 1, tuple(sorted(rem)))
-
-
 def common_degree(
     g: Hypergraph, u: int, v: int, part: VertexPartition | None = None
 ) -> int:
@@ -337,27 +299,12 @@ def common_degree(
     return count
 
 
-def shadow_graph(h: Hypergraph) -> PairGraph:
-    """The graph of all vertex pairs covered by some edge."""
+def shadow_graph(h: Hypergraph) -> frozenset[Pair]:
+    """The ascending vertex pairs covered by some edge."""
     pairs: set[Pair] = set()
     for e in h.edges:
         pairs.update(combinations(e, 2))
-    return PairGraph(h.n, frozenset(pairs))
-
-
-def is_balanced(part: VertexPartition, n: int) -> bool:
-    """True iff every class size is within a 1e-10 relative band of n/4.
-
-    At desk scale (n below 4e10) the band admits only the exact integer n/4,
-    so this degenerates to "n divisible by 4 and all classes equal"; the band
-    is still applied literally so larger n behaves correctly.
-    """
-    if part.r != 4:
-        raise ValueError(f"balancedness is defined for 4 classes, got r={part.r}")
-    if part.n != n:
-        raise ValueError(f"partition covers {part.n} vertices, expected {n}")
-    # |s - n/4| <= 1e-10 * n/4, exactly in integers: |4s - n| * 10^10 <= n
-    return all(abs(4 * s - n) * 10**10 <= n for s in part.class_sizes)
+    return frozenset(pairs)
 
 
 def turan_hypergraph(n: int, r: int) -> Hypergraph:

@@ -8,40 +8,21 @@ vertices plus fresh tails.  A copy is identified by its unordered edge triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
-from .hypergraph import Edge, Hypergraph, Pair
+from .hypergraph import Edge, Hypergraph
 
 __all__ = [
-    "MotifWitness",
     "generalized_triangle",
     "find_T",
     "count_T",
     "t_copy_triples",
 ]
 
-KIND_TRIANGLE = "generalized-triangle"
-
 _SUPPORTED_K = (2, 3, 4)
-
-
-@dataclass(frozen=True)
-class MotifWitness:
-    """An embedded copy of the triangle pattern.
-
-    Carries (e1, e2, e3) with e1, e2 sharing the core, the apex pair e1 ^ e2,
-    and e3's tail vertices.
-    """
-
-    kind: str
-    edges: tuple[Edge, ...]
-    core: tuple[int, ...] | None = None
-    apex: Pair | None = None
-    tails: tuple[int, ...] | None = None
 
 
 def generalized_triangle(k: int) -> Hypergraph:
@@ -116,19 +97,15 @@ def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
         yield np.stack((eid[x[ok]], eid[y[ok]], pair_edge[at[ok]]), axis=1)
 
 
-def find_T(h: Hypergraph) -> MotifWitness | None:
-    """A witness copy of the triangle pattern if one exists, else None."""
+def find_T(h: Hypergraph) -> tuple[Edge, Edge, Edge] | None:
+    """The edges (e1, e2, e3) of a copy of the pattern if one exists, else None.
+
+    e1 and e2 share the (k-1)-set core; e3 holds their apex pair e1 ^ e2 and
+    misses the core.
+    """
     for rows in _copy_blocks(h):
         if len(rows):
-            e1, e2, e3 = (h.edges[x] for x in rows[0].tolist())
-            a, b = sorted(set(e1) ^ set(e2))
-            return MotifWitness(
-                kind=KIND_TRIANGLE,
-                edges=(e1, e2, e3),
-                core=tuple(sorted(set(e1) & set(e2))),
-                apex=(a, b),
-                tails=tuple(x for x in e3 if x != a and x != b),
-            )
+            return tuple(h.edges[x] for x in rows[0].tolist())
     return None
 
 

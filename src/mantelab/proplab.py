@@ -12,10 +12,10 @@ label their report accordingly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .hypergraph import (
     EdgeSet,
     Hypergraph,
     Pair,
-    PairGraph,
     VertexPartition,
     _check_partition,
     _crossing_mask,
@@ -40,7 +39,6 @@ __all__ = [
     "concentration_report",
     "LowPairReport",
     "low_pairs",
-    "heavy_triple_count",
     "DecompositionReport",
     "decomposition",
     "AuditRow",
@@ -189,17 +187,6 @@ class ConcentrationRow:
     applicable: bool
     passed: bool | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "observed_min": self.observed_min,
-            "observed_max": self.observed_max,
-            "eps": self.eps,
-            "applicable": self.applicable,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ConcentrationReport:
@@ -218,14 +205,6 @@ class ConcentrationReport:
     def all_pass(self) -> bool:
         """True iff every applicable row passes."""
         return all(r.passed for r in self.rows if r.applicable)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "eps": self.eps,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> ConcentrationRow:
@@ -332,27 +311,16 @@ class LowPairReport:
 
     threshold: float
     pairs: frozenset[Pair]
-    degrees: tuple[int, ...]
-    max_degree: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "pairs": sorted(list(pr) for pr in self.pairs),
-            "degrees": list(self.degrees),
-            "max_degree": self.max_degree,
-        }
 
 
 def low_pairs(
     g: Hypergraph, part: VertexPartition, p: float, alpha: float = 0.35
 ) -> LowPairReport:
-    """Exact low-pair set under threshold (alpha/32) p^2 n^3, with per-vertex counts."""
+    """Exact low-pair set under threshold (alpha/32) p^2 n^3."""
     if g.k != 4:
         raise ValueError(f"low pairs are defined for k=4, got k={g.k}")
     _check_partition(g, part)
-    n = g.n
-    threshold = (alpha / 32.0) * p * p * n**3
+    threshold = (alpha / 32.0) * p * p * g.n**3
     first = sorted(part.classes[0])
     groups: dict[tuple[int, ...], list[int]] = {}
     a = part.assignment
@@ -368,29 +336,7 @@ def low_pairs(
     low = frozenset(
         pr for pr in combinations(first, 2) if counts.get(pr, 0) < threshold
     )
-    degrees = [0] * n
-    for u, v in low:
-        degrees[u] += 1
-        degrees[v] += 1
-    return LowPairReport(
-        threshold=threshold,
-        pairs=low,
-        degrees=tuple(degrees),
-        max_degree=max(degrees) if degrees else 0,
-    )
-
-
-def heavy_triple_count(g: Hypergraph, a_set: Iterable[int], eps: float, p: float) -> int:
-    """Number of (k-1)-subsets whose co-neighborhood meets A in more than 2*eps*p*n vertices."""
-    if eps < 0 or not 0.0 <= p <= 1.0:
-        raise ValueError(f"need eps >= 0 and p in [0, 1], got eps={eps}, p={p}")
-    aset = set(a_set)
-    for v in aset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    # the threshold is non-negative, so (k-1)-sets with empty co-neighborhoods never count
-    threshold = 2.0 * eps * p * g.n
-    return sum(1 for comp in g.cores.values() if sum(1 for x in comp if x in aset) > threshold)
+    return LowPairReport(threshold=threshold, pairs=low)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +359,7 @@ class DecompositionReport:
     low_pair_set: frozenset[Pair]
     defect: tuple[EdgeSet, EdgeSet, EdgeSet, EdgeSet]
     missing: EdgeSet
-    shadow_first: PairGraph
+    shadow_first: frozenset[Pair]
     heavy: frozenset[int]
     light: frozenset[int]
     heavy_rich: frozenset[int]
@@ -478,14 +424,13 @@ def decomposition(
     missing = EdgeSet(g, missing_ids)
 
     first = part.classes[0]
-    shadow = shadow_graph(f)
     l_pairs = frozenset(
-        pr for pr in shadow.edges if pr[0] in first and pr[1] in first
+        pr for pr in shadow_graph(f) if pr[0] in first and pr[1] in first
     )
-    l_graph = PairGraph(n, l_pairs)
+    l_degree = Counter(v for pr in l_pairs for v in pr)
 
     heavy_threshold = consts.eps1 * n  # exact rational comparison
-    heavy = frozenset(x for x in first if l_graph.degree(x) >= heavy_threshold)
+    heavy = frozenset(x for x in first if l_degree[x] >= heavy_threshold)
     light = frozenset(first) - heavy
 
     cross_deg = _crossing_degrees(f, part.assignment)
@@ -513,7 +458,7 @@ def decomposition(
         low_pair_set=low,
         defect=tuple(defect),
         missing=missing,
-        shadow_first=l_graph,
+        shadow_first=l_pairs,
         heavy=heavy,
         light=light,
         heavy_rich=heavy_rich,
@@ -561,15 +506,9 @@ class AuditReport:
     what happened at this scale and are never asserted by the lab itself.
     """
 
-    n: int
-    p: float
-    relabeling: tuple[int, int, int, int] | None
     sizes: tuple[tuple[str, int], ...]
     rows: tuple[AuditRow, ...]
-    constants: AuditConstants
-    degenerate_heavy_threshold: bool
-    degenerate_rich_threshold: bool
-    decomposition: DecompositionReport  # the report audited, not in the JSON form
+    decomposition: DecompositionReport  # the report audited
 
     def row(self, name: str) -> AuditRow:
         for r in self.rows:
@@ -584,15 +523,18 @@ class AuditReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
+        """The v1 audit block; its ``relabeling`` is always null, since the
+        caller relabels the partition before the audit and records it."""
+        rep = self.decomposition
         return {
-            "n": self.n,
-            "p": self.p,
-            "relabeling": list(self.relabeling) if self.relabeling else None,
+            "n": rep.n,
+            "p": rep.p,
+            "relabeling": None,
             "sizes": {k: v for k, v in self.sizes},
             "rows": [r.to_json_dict() for r in self.rows],
-            "constants": self.constants.to_json_dict(),
-            "degenerate_heavy_threshold": self.degenerate_heavy_threshold,
-            "degenerate_rich_threshold": self.degenerate_rich_threshold,
+            "constants": rep.constants.to_json_dict(),
+            "degenerate_heavy_threshold": rep.degenerate_heavy_threshold,
+            "degenerate_rich_threshold": rep.degenerate_rich_threshold,
         }
 
 
@@ -617,25 +559,18 @@ def defect_audit(
     part: VertexPartition,
     p: float,
     consts: AuditConstants | None = None,
-    relabel: bool = True,
 ) -> AuditReport:
     """Evaluate both sides of every decomposition inequality at this scale.
 
-    Rejects subhypergraphs containing a triangle copy.  With ``relabel`` the
-    classes are permuted so the first class carries the largest defect set
-    (recorded in the report); the low-pair set, shadow restriction, and all
-    derived sets are relative to the (possibly relabeled) first class.
+    Rejects subhypergraphs containing a triangle copy.  The low-pair set,
+    shadow restriction, and all derived sets are relative to the partition's
+    first class as given; callers wanting the first class to carry the
+    largest defect set relabel with :func:`relabel_for_largest_defect` first.
     """
     consts = consts or AuditConstants()
-    witness = find_T(f)
-    if witness is not None:
-        raise ValueError(
-            f"subhypergraph contains a triangle copy with edges {witness.edges}"
-        )
-    if relabel:
-        part, relabeling = relabel_for_largest_defect(f, part)
-    else:
-        relabeling = None
+    copy = find_T(f)
+    if copy is not None:
+        raise ValueError(f"subhypergraph contains a triangle copy with edges {copy}")
     rep = decomposition(g, f, part, p, consts)
     n = g.n
     cross_g = rep.crossing_host
@@ -651,7 +586,7 @@ def defect_audit(
         b1_first_pairs.update(combinations(inside, 2))
     lprime_pairs = frozenset(
         pr
-        for pr in rep.shadow_first.edges
+        for pr in rep.shadow_first
         if (pr[0] in rep.heavy and pr[1] in rep.heavy)
         or (pr[0] in rep.light and pr[1] in rep.light)
     )
@@ -723,17 +658,7 @@ def defect_audit(
         ("defect_split_2", len(rep.defect_split[1])),
         ("defect_split_3", len(rep.defect_split[2])),
     )
-    return AuditReport(
-        n=n,
-        p=p,
-        relabeling=relabeling,
-        sizes=sizes,
-        rows=rows,
-        constants=consts,
-        degenerate_heavy_threshold=rep.degenerate_heavy_threshold,
-        degenerate_rich_threshold=rep.degenerate_rich_threshold,
-        decomposition=rep,
-    )
+    return AuditReport(sizes=sizes, rows=rows, decomposition=rep)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,13 @@ _WRONG_TYPES = [
     ("constants", ""),
     ("constants", []),
     ("constants", None),
+    # values of the right type but out of range, once run to wrong rows
+    ("eps", -0.5),
+    ("eps", 0),
+    ("restarts", -3),
+    ("restarts", 0),
+    ("budget", {"max_nodes": -1}),
+    ("budget", {"max_seconds": -1}),
 ]
 
 
@@ -222,6 +229,7 @@ class TestWrongTypedField:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run.csv").exists()
 
 
 # misspelt keys, once ignored: (overrides, the name the error must give)
@@ -534,6 +542,23 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert cli_main(["phase", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--restarts", "-3"), ("--restarts", "0"),
+                       ("--max-nodes", "-1"), ("--max-seconds", "-1")]
+    )
+    def test_solve_out_of_range_error_line(self, tmp_path, capsys, flag, value):
+        host = tmp_path / "g.hyp"
+        host.write_text("7 4 3\n0 1 2 3\n0 1 2 4\n3 4 5 6\n")
+        out = tmp_path / "res.json"
+        rc = cli_main([
+            "solve", "--in", str(host), "--problem", "tfree", "--tier", "heuristic",
+            flag, value, "--out", str(out),
+        ])
+        assert rc == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= ")
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["solve", "--problem", "cut4"]) == 1

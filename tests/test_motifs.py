@@ -12,7 +12,6 @@ from mantelab.hypergraph import (
     turan_hypergraph,
 )
 from mantelab.motifs import (
-    KIND_TRIANGLE,
     count_T,
     find_T,
     generalized_triangle,
@@ -43,8 +42,8 @@ class TestPattern:
     def test_pattern_is_its_own_witness(self, k):
         g = generalized_triangle(k)
         w = find_T(g)
-        assert w is not None and w.kind == KIND_TRIANGLE
-        assert set(w.edges) == set(g.edges)
+        assert w is not None and len(w) == 3
+        assert set(w) == set(g.edges)
         assert count_T(g) == 1
 
 
@@ -55,7 +54,7 @@ class TestFind:
     def test_complete_has_witness(self):
         w = find_T(complete_hypergraph(7, 4))
         assert w is not None
-        assert is_triangle_triple(*w.edges, 4)
+        assert is_triangle_triple(*w, 4)
 
     def test_witness_structure(self, rng):
         found = 0
@@ -66,13 +65,14 @@ class TestFind:
             if w is None:
                 continue
             found += 1
-            e1, e2, e3 = (set(e) for e in w.edges)
-            core = set(w.core)
-            assert e1 & e2 == core and len(core) == k - 1
-            assert set(w.apex) == e1 ^ e2
-            assert set(w.apex) <= e3 and not (e3 & core)
-            assert set(w.tails) == e3 - set(w.apex)
-            assert all(tuple(sorted(e)) in h.edge_set for e in w.edges)
+            assert len(w) == 3 and all(len(e) == k for e in w)
+            e1, e2, e3 = (set(e) for e in w)
+            core, apex = e1 & e2, e1 ^ e2
+            tails = e3 - apex
+            assert len(core) == k - 1 and len(apex) == 2
+            assert apex <= e3 and not (e3 & core)
+            assert len(tails) == k - 2 and not (tails & (e1 | e2))
+            assert all(e in h.edge_set for e in w)
         assert found > 10
 
     def test_unsupported_uniformity(self):
