@@ -47,7 +47,6 @@ from .proplab import (
     low_pairs,
 )
 from .randgen import (
-    TrialSeed,
     colex_rank,
     colex_unrank,
     derive_seed,

@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(experiments.EXIT_FAILED)
 
 
+_KIND_BY_COMMAND = {
+    "phase": "phase-sweep",
+    "concentration": "concentration",
+    "audit": "audit",
+    "turan-table": "turan-table",
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mantelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,8 +58,8 @@ def _build_parser() -> _Parser:
     slv.add_argument("--max-seconds", type=float, default=None)
     slv.add_argument("--out", default=None, help="write the result JSON here instead of stdout")
 
-    for kind in ("phase", "concentration", "audit", "turan-table"):
-        sp = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
+    for command in _KIND_BY_COMMAND:
+        sp = sub.add_parser(command, help=f"run a {command} experiment from a config file")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override master_seed")
         sp.add_argument("--out", default=None, help="override output path")
@@ -62,14 +70,6 @@ def _build_parser() -> _Parser:
     fmt.add_argument("--in", dest="path", required=True)
     fmt.add_argument("--out", default=None, help="write the canonical form here")
     return parser
-
-
-_KIND_BY_COMMAND = {
-    "phase": "phase-sweep",
-    "concentration": "concentration",
-    "audit": "audit",
-    "turan-table": "turan-table",
-}
 
 
 def _run_generate(args) -> int:
@@ -151,7 +151,7 @@ def _run_fmt_roundtrip(args) -> int:
     if original == canonical:
         print("roundtrip: identical")
     else:
-        print("roundtrip: canonicalized (input was not in canonical order)")
+        print("roundtrip: canonicalized (input edges were out of order or duplicated)")
     return experiments.EXIT_CLEAN
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -93,18 +93,13 @@ class ExperimentConfig:
     tier: str
     eps: float
     restarts: int
-    max_nodes: int | None
-    max_seconds: float | None
+    budget: Budget
     constants: AuditConstants
     emit_timings: bool
     build_label: str
     out: str
     turan_cap: int | None
-    raw: tuple[tuple[str, str], ...]  # canonical echo of the input document
-
-    @property
-    def budget(self) -> Budget:
-        return Budget(max_nodes=self.max_nodes, max_seconds=self.max_seconds)
+    echo: str  # the input document as canonical JSON, without "threads"
 
     def p_grid(self, n: int) -> list[float]:
         grid = list(self.p_absolute)
@@ -113,10 +108,7 @@ class ExperimentConfig:
         return grid
 
     def raw_dict(self) -> dict:
-        return {key: json.loads(value) for key, value in self.raw}
-
-    def echo_json(self) -> str:
-        return json.dumps(self.raw_dict(), sort_keys=True, separators=(",", ":"))
+        return json.loads(self.echo)
 
 
 _SHAPES = {"array": (list, tuple), "object": dict, "integer": int, "number": (int, float),
@@ -155,12 +147,12 @@ def _known_keys(doc: dict, prefix: str) -> dict:
     return doc
 
 
-def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
+def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a config document; raises ConfigError before any trial runs."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     doc = dict(_known_keys(doc, ""))
-    kind = doc.get("kind", kind)
+    kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     n_values = _items(doc.get("n", []), "integer", "n")
@@ -201,7 +193,7 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"constants.{exc}") from None
     # trials run serially: existing configs may still set "threads", which is
     # checked, then ignored and left out of the echo
-    if _shaped(doc.get("threads", 1), "integer", "threads") < 1:
+    if _shaped(doc.pop("threads", 1), "integer", "threads") < 1:
         raise ConfigError("threads must be >= 1")
     build_label = _shaped(doc.get("build_label", "unversioned"), "string", "build_label")
     if "\n" in build_label or "\r" in build_label:
@@ -217,11 +209,6 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
     for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if limit is not None and not limit >= 0:
             raise ConfigError(f"budget.{name} must be >= 0, got {limit}")
-    raw = tuple(
-        (key, json.dumps(value, sort_keys=True, separators=(",", ":")))
-        for key, value in sorted(doc.items())
-        if key != "threads"
-    )
     return ExperimentConfig(
         kind=kind,
         n_values=n_values,
@@ -233,14 +220,13 @@ def config_from_dict(doc: dict, kind: str | None = None) -> ExperimentConfig:
         tier=tier,
         eps=eps,
         restarts=restarts,
-        max_nodes=max_nodes,
-        max_seconds=max_seconds,
+        budget=Budget(max_nodes=max_nodes, max_seconds=max_seconds),
         constants=consts,
         emit_timings=_shaped(doc.get("emit_timings", False), "boolean", "emit_timings"),
         build_label=build_label,
         out=_shaped(doc.get("out", "mantelab-run"), "string", "out"),
         turan_cap=_shaped(doc.get("cap"), "integer or null", "cap"),
-        raw=raw,
+        echo=json.dumps(doc, sort_keys=True, separators=(",", ":")),
     )
 
 
@@ -280,7 +266,7 @@ def _csv_text(
     lines = [
         f"# schema=mantelab.{schema}.{SCHEMA_VERSION}",
         f"# build={cfg.build_label}",
-        f"# config={cfg.echo_json()}",
+        f"# config={cfg.echo}",
         f"# constants={json.dumps(cfg.constants.to_json_dict(), sort_keys=True, separators=(',', ':'))}",
         ",".join(columns),
     ]
@@ -374,7 +360,7 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
             cells, payload = kind.trial(cfg, g, p, trial_no, seed, lap)
         except ValueError as exc:
             return n, p, skip_row(n, p, _fmt(trial_no), str(exc)), None
-        row = head("trial", n, p, _fmt(trial_no)) + [_fmt(seed.derived), _fmt(len(g))]
+        row = head("trial", n, p, _fmt(trial_no)) + [_fmt(seed), _fmt(len(g))]
         times = [_fmt(b - a) for a, b in zip(laps, laps[1:])] if cfg.emit_timings else []
         return n, p, row + cells + times, payload
 
@@ -471,7 +457,7 @@ _CONC_ROWS = (
 
 
 def _concentration_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
-    part = random_partition(g.n, 4, derive_seed(seed.derived, 1))
+    part = random_partition(g.n, 4, derive_seed(seed, 1))
     rep = concentration_report(g, p, part, cfg.eps)
     lap()
     flags = [_fmt(r.passed) if r.applicable else "na" for r in map(rep.row, _CONC_ROWS)]
@@ -533,7 +519,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
         "n": g.n,
         "k": cfg.k,
         "p": p,
-        "seed": seed.derived,
+        "seed": seed,
         "edges": len(g),
         "tfree_value": tres.value,
         "tfree_optimal": tres.optimal,
@@ -542,7 +528,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
         "relabeling": list(relabeling) if relabeling else None,
         "audit": audit.to_json_dict(),
         "decomposition": rep.to_json_dict(),
-        "gap": gap.to_json_dict(),
+        "gap": asdict(gap),
     }
     return row, doc
 

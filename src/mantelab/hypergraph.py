@@ -122,9 +122,6 @@ class EdgeSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self):
-        return iter(self.edges)
-
     def __contains__(self, edge: Iterable[int]) -> bool:
         e = tuple(sorted(edge))
         i = self.universe.edge_ids.get(e)
@@ -353,6 +350,18 @@ def to_text(g: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_int(token: str) -> int:
+    """The integer a canonical decimal token spells; else ValueError.
+
+    int() also takes signs, leading zeros, underscores and surrounding
+    whitespace (a CR included), none of which to_text writes.
+    """
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(token)
+    return value
+
+
 def from_text(text: str) -> Hypergraph:
     """Parse the text format; edge lines must each be strictly ascending."""
     if not text.endswith("\n"):
@@ -364,17 +373,17 @@ def from_text(text: str) -> Hypergraph:
     if len(head) != 3:
         raise ValueError(f"header must be 'n k m', got {lines[0]!r}")
     try:
-        n, k, m = (int(x) for x in head)
+        n, k, m = (_canonical_int(x) for x in head)
     except ValueError:
-        raise ValueError(f"non-integer header field in {lines[0]!r}") from None
+        raise ValueError(f"header: non-canonical integer in {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln, raw in enumerate(lines[1:], start=1):
         try:
-            vs = tuple(int(x) for x in raw.split(" "))
+            vs = tuple(_canonical_int(x) for x in raw.split(" "))
         except ValueError:
-            raise ValueError(f"line {ln}: non-integer vertex in {raw!r}") from None
+            raise ValueError(f"line {ln}: non-canonical integer vertex in {raw!r}") from None
         if len(vs) != k:
             raise ValueError(f"line {ln}: expected {k} vertices, got {len(vs)}")
         if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):

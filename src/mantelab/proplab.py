@@ -12,8 +12,9 @@ label their report accordingly.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -111,51 +112,34 @@ class AuditConstants:
     def with_overrides(self, **kw) -> "AuditConstants":
         """New constants with the given primaries; derived fields re-derive."""
         base = {
-            "alpha": self.alpha,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "eps": self.eps,
-            "xi": self.xi,
-            "phi": self.phi,
-            "gamma_decimal": self.gamma_decimal,
-            "delta": None,
-            "eps3": None,
-            "alpha_prime": None,
-            "gamma_formula": None,
+            f.name: None if f.name in _DERIVED else getattr(self, f.name)
+            for f in fields(self)
+            if f.init
         }
         for key, value in kw.items():
             if key not in base:
                 raise ValueError(f"{key} is not an overridable constant")
-            # None re-derives a derived constant (the ones whose base is None)
-            base[key] = None if value is None and base[key] is None else _override(key, value)
+            # None re-derives a derived constant
+            base[key] = None if value is None and key in _DERIVED else _override(key, value)
         return AuditConstants(**base)
 
     def to_json_dict(self) -> dict:
+        """Every field, with the exact rationals written as strings."""
         return {
-            "alpha": self.alpha,
-            "eps1": str(self.eps1),
-            "eps2": str(self.eps2),
-            "eps3": str(self.eps3),
-            "delta": str(self.delta),
-            "eps": self.eps,
-            "xi": self.xi,
-            "phi": self.phi,
-            "alpha_prime": str(self.alpha_prime),
-            "gamma_formula": str(self.gamma_formula),
-            "gamma_decimal": self.gamma_decimal,
-            "gap_ok_formula": self.gap_ok_formula,
-            "gap_ok_decimal": self.gap_ok_decimal,
+            f.name: str(v) if isinstance(v := getattr(self, f.name), Fraction) else v
+            for f in fields(self)
         }
 
 
-_EXACT_CONSTANTS = ("eps1", "eps2", "delta", "eps3", "alpha_prime", "gamma_formula")
+_DERIVED = ("delta", "eps3", "alpha_prime", "gamma_formula")
 
 
 def _override(key: str, value):
-    """value as constant ``key`` stores it: a real number, or for an exact
-    constant also a rational string such as "1/4200"; else ValueError naming key."""
-    exact = key in _EXACT_CONSTANTS
-    kinds = (int, float, Fraction, str) if exact else (int, float, Fraction)
+    """value as constant ``key`` stores it: a number (int or float) for a float
+    constant; a number, Fraction or rational string such as "1/4200" for an
+    exact one; else ValueError naming key."""
+    exact = key in ("eps1", "eps2", *_DERIVED)
+    kinds = (int, float, Fraction, str) if exact else (int, float)
     try:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError
@@ -488,15 +472,6 @@ class AuditRow:
     right: float
     holds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "left": self.left,
-            "relation": self.relation,
-            "right": self.right,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -531,7 +506,7 @@ class AuditReport:
             "p": rep.p,
             "relabeling": None,
             "sizes": {k: v for k, v in self.sizes},
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "constants": rep.constants.to_json_dict(),
             "degenerate_heavy_threshold": rep.degenerate_heavy_threshold,
             "degenerate_rich_threshold": rep.degenerate_rich_threshold,
@@ -551,6 +526,10 @@ def relabel_for_largest_defect(
         inv[old] = new
     relabeled = VertexPartition(4, tuple(inv[c] for c in part.assignment))
     return relabeled, tuple(order)
+
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt,
+              "==": operator.eq}
 
 
 def defect_audit(
@@ -593,18 +572,7 @@ def defect_audit(
     c = consts
 
     def row(name: str, left: float, relation: str, right: float) -> AuditRow:
-        if relation == "<":
-            holds = left < right
-        elif relation == "<=":
-            holds = left <= right
-        elif relation == ">=":
-            holds = left >= right
-        elif relation == ">":
-            holds = left > right
-        elif relation == "==":
-            holds = left == right
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
+        holds = _RELATIONS[relation](left, right)
         return AuditRow(name, float(left), relation, float(right), holds)
 
     rows = (
@@ -682,17 +650,6 @@ class GapReport:
     discount: float
     certified: bool
     interpretation: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "q_value": self.q_value,
-            "crossing": self.crossing,
-            "low_pair_count": self.low_pair_count,
-            "discount": self.discount,
-            "certified": self.certified,
-            "interpretation": self.interpretation,
-        }
 
 
 def low_pair_cut_gap(

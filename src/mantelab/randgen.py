@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hypergraph import Hypergraph, VertexPartition, _from_rows
 
 __all__ = [
-    "TrialSeed",
     "derive_seed",
     "colex_rank",
     "colex_unrank",
@@ -38,28 +36,17 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class TrialSeed:
-    """A per-trial seed derived deterministically from (master, index)."""
-
-    master: int
-    index: int
-    derived: int
-
-
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
 
 
-def derive_seed(master: int, index: int) -> TrialSeed:
+def derive_seed(master: int, index: int) -> int:
     """Deterministic, collision-free derivation of a per-trial 64-bit seed."""
     if index < 0:
         raise ValueError(f"trial index must be non-negative, got {index}")
-    m = master & _MASK64
-    derived = _mix64((m + ((index + 1) & _MASK64) * _GOLDEN) & _MASK64)
-    return TrialSeed(m, index, derived)
+    return _mix64(((master & _MASK64) + ((index + 1) & _MASK64) * _GOLDEN) & _MASK64)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +111,7 @@ def _check_args(n: int, k: int, p: float) -> None:
         raise ValueError(f"probability p={p} outside [0, 1]")
 
 
-def sample_gknp(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
+def sample_gknp(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Include each k-subset independently with probability p (skip sampler).
 
     Subsets are visited in colexicographic order with geometric jumps, so the
@@ -136,7 +123,7 @@ def sample_gknp(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
     m = math.comb(n, k)
     if p == 0.0 or p == 1.0:
         return _host(n, k, np.arange(m if p == 1.0 else 0, dtype=np.int64))
-    rng = np.random.Generator(np.random.PCG64(seed.derived))
+    rng = np.random.Generator(np.random.PCG64(seed))
     log1mp = math.log1p(-p)
     batch = max(1024, int(p * m * 1.05) + 16)
     taken: list[np.ndarray] = []
@@ -154,7 +141,7 @@ def sample_gknp(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
     return _host(n, k, np.concatenate(taken))
 
 
-def sample_gknp_bernoulli(n: int, k: int, p: float, seed: TrialSeed) -> Hypergraph:
+def sample_gknp_bernoulli(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """One uniform per subset in colex order; a distinct named generator.
 
     Statistically identical to :func:`sample_gknp` but with a different
@@ -167,15 +154,14 @@ def sample_gknp_bernoulli(n: int, k: int, p: float, seed: TrialSeed) -> Hypergra
         raise ValueError(f"universe of {m} subsets too large for the dense path")
     if p == 0.0 or p == 1.0:
         return _host(n, k, np.arange(m if p == 1.0 else 0, dtype=np.int64))
-    rng = np.random.Generator(np.random.PCG64(seed.derived))
+    rng = np.random.Generator(np.random.PCG64(seed))
     return _host(n, k, np.nonzero(rng.random(m) < p)[0])
 
 
-def random_partition(n: int, r: int, seed: TrialSeed | int) -> VertexPartition:
+def random_partition(n: int, r: int, seed: int) -> VertexPartition:
     """A uniformly shuffled partition with class sizes as equal as possible."""
     if r < 1 or n < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    derived = seed.derived if isinstance(seed, TrialSeed) else int(seed)
     labels = [i % r for i in range(n)]
-    random.Random(derived).shuffle(labels)
+    random.Random(seed).shuffle(labels)
     return VertexPartition(r, tuple(labels))

@@ -27,7 +27,6 @@ from .hypergraph import (
 # count_T is not called here but stays an attribute of this module, where
 # perfbench/worker.py wraps the copy scans for its traced runs.
 from .motifs import count_T, t_copy_triples  # noqa: F401
-from .randgen import TrialSeed
 
 __all__ = [
     "Budget",
@@ -156,13 +155,12 @@ def _kpartite_local(
     return best_value, best_assign, total_moves
 
 
-def max_cut4_local(h: Hypergraph, seed: TrialSeed, restarts: int = 8) -> SolveResult:
+def max_cut4_local(h: Hypergraph, seed: int, restarts: int = 8) -> SolveResult:
     """Hill-climbing maximum 4-partite cut; the partition is 1-move-optimal."""
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     t0 = time.monotonic()
-    rng = random.Random(seed.derived)
-    value, assign, moves = _kpartite_local(h, rng, restarts)
+    value, assign, moves = _kpartite_local(h, random.Random(seed), restarts)
     part = VertexPartition(4, assign)
     return SolveResult(
         value=value,
@@ -274,17 +272,15 @@ def max_cut4_exact(
                 dead | (sc & e),
             )
 
-    budget_hit = False
     try:
         dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
-        completed = True
+        budget_hit = False
     except _BudgetExceeded:
-        completed = False
         budget_hit = True
     return SolveResult(
         value=best["value"],
         witness=VertexPartition(4, tuple(best["assign"])),
-        optimal=completed or best["value"] == m,
+        optimal=not budget_hit or best["value"] == m,
         stats=SearchStats(nodes=ticker.nodes, elapsed=ticker.elapsed(), budget_hit=budget_hit),
     )
 
@@ -292,7 +288,7 @@ def max_cut4_exact(
 def best_partition_for(
     f: Hypergraph,
     method: str = "exact",
-    seed: TrialSeed | None = None,
+    seed: int | None = None,
     budget: Budget | None = None,
     restarts: int = 8,
 ) -> SolveResult:
@@ -357,16 +353,26 @@ def _greedy_tfree(
     return best
 
 
-def _crossing_incumbent(
-    h: Hypergraph, rng: random.Random, restarts: int
+def _tfree_incumbent(
+    h: Hypergraph, triples: np.ndarray, seed: int, runs: int, restarts: int
 ) -> list[int]:
-    """Edge ids of the best local-cut crossing set (always copy-free)."""
-    _, assign, _ = _kpartite_local(h, rng, restarts)
-    return sorted(crossing_edges(h, VertexPartition(h.k, assign)).indices)
+    """Kept edge ids of the larger of two copy-free sets (greedy on ties).
+
+    One is the best of ``runs`` greedy deletions, the other the crossing set
+    of the best local k-class cut over ``restarts``; each draws from its own
+    ``random.Random(seed)``.  A crossing set is copy-free: two edges of a
+    copy share k - 1 vertices, so if both cross, their other two vertices
+    take the one class the shared ones miss, and the third edge, which holds
+    both, cannot cross.
+    """
+    greedy = _greedy_tfree(triples, len(h), random.Random(seed), runs)
+    _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
+    crossing = sorted(crossing_edges(h, VertexPartition(h.k, assign)).indices)
+    return crossing if len(crossing) > len(greedy) else greedy
 
 
 def max_tfree_repair(
-    h: Hypergraph, seed: TrialSeed, restarts: int = 4
+    h: Hypergraph, seed: int, restarts: int = 4
 ) -> SolveResult:
     """Heuristic maximum copy-free edge subset; the result is always copy-free.
 
@@ -379,11 +385,7 @@ def max_tfree_repair(
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
-    best = _greedy_tfree(triples, len(h), random.Random(seed.derived), max(1, restarts))
-    cut_rng = random.Random(seed.derived)
-    crossing = _crossing_incumbent(h, cut_rng, restarts)
-    if len(crossing) > len(best):
-        best = crossing
+    best = _tfree_incumbent(h, triples, seed, max(1, restarts), restarts)
     return SolveResult(
         value=len(best),
         witness=EdgeSet(h, frozenset(best)),
@@ -440,12 +442,9 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             optimal=True,
             stats=SearchStats(nodes=0, elapsed=time.monotonic() - t0, budget_hit=False),
         )
-    rng = random.Random(0x5EED)
-    greedy = _greedy_tfree(triples, m)
-    triples = triples.tolist()  # the search reads single rows, which lists serve faster
-    crossing = _crossing_incumbent(h, rng, 3)
-    incumbent = greedy if len(greedy) >= len(crossing) else crossing
+    incumbent = _tfree_incumbent(h, triples, 0x5EED, 1, 3)
     best = {"value": len(incumbent), "keep": incumbent}
+    triples = triples.tolist()  # the search reads single rows, which lists serve faster
 
     cm = _edge_copy_masks(m, triples)
     participation = [c.bit_count() for c in cm]
@@ -502,16 +501,14 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
         for x in assigned_here:
             status[x] = UNDEC
 
-    budget_hit = False
     try:
         search((1 << len(triples)) - 1, 0, 0)
-        completed = True
+        budget_hit = False
     except _BudgetExceeded:
-        completed = False
         budget_hit = True
     return SolveResult(
         value=best["value"],
         witness=EdgeSet(h, frozenset(best["keep"])),
-        optimal=completed,
+        optimal=not budget_hit,
         stats=SearchStats(nodes=ticker.nodes, elapsed=ticker.elapsed(), budget_hit=budget_hit),
     )

@@ -211,7 +211,7 @@ def test_c08_concentration_monte_carlo():
     for i in range(seeds):
         seed = derive_seed(0xC8, i)
         g = sample_gknp(n, k, p, seed)
-        part = random_partition(n, 4, derive_seed(seed.derived, 1))
+        part = random_partition(n, 4, derive_seed(seed, 1))
         rep = concentration_report(g, p, part, eps)
         if rep.all_pass:
             passes += 1

@@ -598,6 +598,15 @@ class TestBenchmarkHooks:
         for name in _load_bench_worker().INDEXES:
             assert isinstance(vars(Hypergraph).get(name), cached_property), name
 
+    def test_dense_cut_path(self):
+        # the dense_cut units call these three directly, not through the CLI
+        from mantelab.solvers import max_cut4_exact
+
+        g = sample_gknp(8, 4, 0.5, derive_seed(1, 0))
+        res = max_cut4_exact(g)
+        assert res.optimal
+        assert _load_bench_worker()._crossing_count(g.edges, res.witness.assignment) == res.value
+
 
 class TestExports:
     """A name left in ``__all__`` after its definition is gone breaks star imports."""

@@ -273,6 +273,12 @@ class TestTextFormat:
             "7 4 1\n0 1 3 2\n",
             "7 4 1\n0 1 2 3",
             "7 4 2\n0 1 2 3\n",
+            # tokens other than canonical decimals
+            "8 4 1\r\n0 1 2 3\r\n",
+            "8 4 1\n0 1 2 +3\n",
+            "8 4 1\n0 1 2 03\n",
+            "08 4 1\n0 1 2 3\n",
+            "20 4 1\n0 1 2 1_0\n",
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -86,6 +87,14 @@ class TestConstants:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             AuditConstants().with_overrides(zeta=1)
+
+    @pytest.mark.parametrize("key", ["alpha", "eps", "xi", "phi", "gamma_decimal"])
+    def test_float_constant_takes_only_numbers(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got Fraction"):
+            AuditConstants().with_overrides(**{key: Fraction(1, 3)})
+        for value in (2, 0.5):
+            c = AuditConstants().with_overrides(**{key: value})
+            assert json.loads(json.dumps(c.to_json_dict()))[key] == value
 
     def test_json_fields_fixed(self):
         d = AuditConstants().to_json_dict()

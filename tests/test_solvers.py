@@ -327,7 +327,7 @@ class TestHeuristicGolden:
             loc = max_cut4_local(h, seed, restarts=4)
             got = (loc.value, loc.witness.assignment, loc.stats.nodes)
         else:
-            got = _kpartite_local(h, random.Random(seed.derived), 4)
+            got = _kpartite_local(h, random.Random(seed), 4)
         assert got == local
 
 
@@ -424,6 +424,26 @@ class TestArrayKernels:
             # the earliest of the longest runs, after the same draws
             assert _greedy_tfree(trips, m, got_rng, 4) == max(runs, key=len)
             assert got_rng.getstate() == ref_rng.getstate()
+
+    def test_tfree_incumbent_tie_rule(self, rng):
+        # greedy keeps ties: the crossing set wins only when strictly larger
+        from mantelab.motifs import t_copy_triples
+        from mantelab.solvers import _greedy_tfree, _kpartite_local, _tfree_incumbent
+
+        tied_apart = 0
+        for i in range(180):
+            k = (2, 3, 4)[i % 3]
+            h = random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.2, 0.8))
+            trips = t_copy_triples(h)
+            runs, restarts = rng.choice([(1, 3), (4, 4)])
+            greedy = _greedy_tfree(trips, len(h), random.Random(i), runs)
+            _, assign, _ = _kpartite_local(h, random.Random(i), restarts)
+            crossing = sorted(naive_crossing_ids(h, VertexPartition(k, assign)))
+            want = crossing if len(crossing) > len(greedy) else greedy
+            assert _tfree_incumbent(h, trips, i, runs, restarts) == want
+            tied_apart += len(crossing) == len(greedy) and crossing != greedy
+        # a flipped tie rule fails on each of these hosts
+        assert tied_apart >= 20
 
     def test_local_cut_pass_matches_loop(self, rng):
         from mantelab.solvers import _local_cut_pass
