@@ -116,13 +116,17 @@ _SHAPES = {"array": (list, tuple), "object": dict, "integer": int, "number": (in
 
 
 def _shaped(value, shape: str, name: str):
-    """value if of the JSON shape named (a _SHAPES key, maybe + " or null"); else ConfigError."""
+    """value if of the JSON shape named (a _SHAPES key, maybe + " or null"); else ConfigError.
+
+    json.load reads NaN and Infinity as floats; no JSON number is either."""
     base = shape.removesuffix(" or null")
     if value is None and base != shape:
         return None
     # bool is an int subclass: only the boolean shape takes it
     if isinstance(value, bool) != (base == "boolean") or not isinstance(value, _SHAPES[base]):
         raise ConfigError(f"{name} must be a JSON {shape}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite JSON number, got {value}")
     return value
 
 
@@ -460,7 +464,7 @@ def _concentration_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed
     part = random_partition(g.n, 4, derive_seed(seed, 1))
     rep = concentration_report(g, p, part, cfg.eps)
     lap()
-    flags = [_fmt(r.passed) if r.applicable else "na" for r in map(rep.row, _CONC_ROWS)]
+    flags = [_fmt(r.passed) if r.applicable else "na" for r in map(rep.rows.get, _CONC_ROWS)]
     return flags + [_fmt(rep.all_pass)], (flags, rep.all_pass)
 
 
@@ -512,8 +516,8 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     sizes = ("crossing_host", "crossing_sub", "defect_1", "defect_union", "missing",
              "heavy", "heavy_rich", "heavy_poor", "low_pairs")
     row = [_fmt(x) for x in (tres.value, tres.optimal, qres.value, qres.optimal)]
-    row += [_fmt(audit.size(name)) for name in sizes]
-    row += [_fmt(audit.row("conclusion_nonstrict").holds), _fmt(gap.gap), gap.interpretation]
+    row += [_fmt(audit.sizes[name]) for name in sizes]
+    row += [_fmt(audit.rows["conclusion_nonstrict"].holds), _fmt(gap.gap), gap.interpretation]
     doc = {
         "trial": trial_no,
         "n": g.n,

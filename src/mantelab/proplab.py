@@ -82,6 +82,13 @@ class AuditConstants:
     gap_ok_decimal: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        # the audit divides by these; derived from positive primaries, delta
+        # and eps3 are positive
+        for name in ("eps1", "eps2", "delta", "eps3"):
+            if (value := getattr(self, name)) is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not self.eps < 1:
+            raise ValueError(f"eps must be < 1, got {self.eps}")
         if self.delta is None:
             object.__setattr__(
                 self, "delta", self.eps1**3 * self.eps2 / (320 * 110 * 16)
@@ -135,13 +142,15 @@ _DERIVED = ("delta", "eps3", "alpha_prime", "gamma_formula")
 
 
 def _override(key: str, value):
-    """value as constant ``key`` stores it: a number (int or float) for a float
-    constant; a number, Fraction or rational string such as "1/4200" for an
-    exact one; else ValueError naming key."""
+    """value as constant ``key`` stores it: a finite number (int or float) for
+    a float constant; a finite number, Fraction or rational string such as
+    "1/4200" for an exact one; else ValueError naming key."""
     exact = key in ("eps1", "eps2", *_DERIVED)
     kinds = (int, float, Fraction, str) if exact else (int, float)
     try:
         if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError
         return Fraction(str(value)) if exact else value
     except (ValueError, ZeroDivisionError):
@@ -177,18 +186,12 @@ class ConcentrationReport:
     n: int
     p: float
     eps: float
-    rows: tuple[ConcentrationRow, ...]
-
-    def row(self, name: str) -> ConcentrationRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+    rows: dict[str, ConcentrationRow]  # by row name, in report order
 
     @property
     def all_pass(self) -> bool:
         """True iff every applicable row passes."""
-        return all(r.passed for r in self.rows if r.applicable)
+        return all(r.passed for r in self.rows.values() if r.applicable)
 
 
 def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> ConcentrationRow:
@@ -200,6 +203,37 @@ def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> Con
 def _crossing_degrees(g: Hypergraph, assignment) -> np.ndarray:
     """Per vertex, the number of crossing edges of g through it."""
     return np.bincount(g.edge_array[_crossing_mask(g, assignment)].ravel(), minlength=g.n)
+
+
+def _core_links(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex bitsets of completed cores, and the co-degree of every 3-set.
+
+    Core block ``drop`` holds each 4-uniform row's 3-core without column
+    ``drop``, which completes it.  Row u of the bitsets is over the colex
+    ranks of the cores u completes, so popcount(links[u] & links[v]) counts
+    the 3-sets t with t + u and t + v both rows: the common degree of u, v.
+    The bitsets hold n * C(n, 3) / 8 bytes whatever the row count is.
+    """
+    ntrip = math.comb(n, 3)
+    c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
+    c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
+    links = np.zeros((n, -(-ntrip // 64)), dtype=np.uint64)
+    tcnt = np.zeros(ntrip, dtype=np.int64)
+    for drop in range(4):
+        lo, mid, hi = (rows[:, c] for c in range(4) if c != drop)
+        ranks = c3[hi] + c2[mid] + lo
+        tcnt += np.bincount(ranks, minlength=ntrip)
+        bits = np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
+        np.bitwise_or.at(links, (rows[:, drop], ranks >> 6), bits)
+    return links, tcnt
+
+
+def _pair_commons(links: np.ndarray, vertices: list[int]) -> np.ndarray:
+    """popcount(links[u] & links[v]) for the pairs u < v of the ascending
+    vertices, in ``combinations`` order; the rows are selected once, then sliced."""
+    sel = links[vertices]
+    counts = [np.bitwise_count(sel[i] & sel[i + 1:]).sum(axis=1) for i in range(len(sel) - 1)]
+    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
 
 
 def concentration_report(
@@ -218,38 +252,23 @@ def concentration_report(
     classes are rescaled to the first class's expectation so a single band
     covers them (the rescale is the identity for equal class sizes).
 
-    Common degrees come from one bitset of completed cores per vertex, which
-    holds n * C(n, 3) / 8 bytes whatever p is (about 5.5 MB at n=128).
+    Common degrees come from one bitset of completed cores per vertex
+    (:func:`_core_links`), about 5.5 MB at n=128 whatever p is.
     """
     if g.k != 4:
         raise ValueError(f"concentration rows are defined for k=4, got k={g.k}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p={p} outside (0, 1] makes the bands degenerate")
     n = g.n
-    ntrip = math.comb(n, 3)
     npair = math.comb(n, 2)
     c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
-    c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
     E = g.edge_array
-
-    # core block `drop` holds each edge's 3-core without column `drop`, which
-    # completes it; row u of `links` is the bitset over colex core ranks of the
-    # cores u completes, so popcount(links[u] & links[v]) is a common degree
-    links = np.zeros((n, -(-ntrip // 64)), dtype=np.uint64)
-    tcnt = np.zeros(ntrip, dtype=np.int64)
-    for drop in range(4):
-        lo, mid, hi = (E[:, c] for c in range(4) if c != drop)
-        ranks = c3[hi] + c2[mid] + lo
-        tcnt += np.bincount(ranks, minlength=ntrip)
-        bits = np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
-        np.bitwise_or.at(links, (E[:, drop], ranks >> 6), bits)
+    links, tcnt = _core_links(E, n)
     pcnt = np.zeros(npair, dtype=np.int64)
     for lo, hi in combinations(range(4), 2):
         pcnt += np.bincount(c2[E[:, hi]] + E[:, lo], minlength=npair)
     dcnt = np.bincount(E.ravel(), minlength=n)
-    common = np.concatenate(
-        [np.bitwise_count(links[u] & links[u + 1:]).sum(axis=1) for u in range(n - 1)]
-    )
+    common = _pair_commons(links, list(range(n)))
 
     rows = [
         _band_row("triple_codegree", p * n, tcnt, eps),
@@ -282,7 +301,7 @@ def concentration_report(
             if vals.size:
                 cross_row = _band_row("crossing_degree", e0, vals, eps)
     rows.append(cross_row)
-    return ConcentrationReport(n=n, p=p, eps=eps, rows=tuple(rows))
+    return ConcentrationReport(n=n, p=p, eps=eps, rows={r.name: r for r in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +325,11 @@ def low_pairs(
     _check_partition(g, part)
     threshold = (alpha / 32.0) * p * p * g.n**3
     first = sorted(part.classes[0])
-    groups: dict[tuple[int, ...], list[int]] = {}
-    a = part.assignment
-    for e in g.edge_array[_crossing_mask(g, a)].tolist():
-        x = next(v for v in e if a[v] == 0)
-        t = tuple(v for v in e if v != x)
-        groups.setdefault(t, []).append(x)
-    counts: dict[Pair, int] = {}
-    for comp in groups.values():
-        comp.sort()
-        for pr in combinations(comp, 2):
-            counts[pr] = counts.get(pr, 0) + 1
-    low = frozenset(
-        pr for pr in combinations(first, 2) if counts.get(pr, 0) < threshold
-    )
+    # a first-class vertex x completes the core e - x of each crossing edge e
+    # through it, so the bitset popcount is the common crossing degree
+    links, _ = _core_links(g.edge_array[_crossing_mask(g, part.assignment)], g.n)
+    counts = _pair_commons(links, first)
+    low = frozenset(pr for pr, c in zip(combinations(first, 2), counts) if c < threshold)
     return LowPairReport(threshold=threshold, pairs=low)
 
 
@@ -481,21 +491,9 @@ class AuditReport:
     what happened at this scale and are never asserted by the lab itself.
     """
 
-    sizes: tuple[tuple[str, int], ...]
-    rows: tuple[AuditRow, ...]
+    sizes: dict[str, int]
+    rows: dict[str, AuditRow]  # by row name, in report order
     decomposition: DecompositionReport  # the report audited
-
-    def row(self, name: str) -> AuditRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def size(self, name: str) -> int:
-        for key, value in self.sizes:
-            if key == name:
-                return value
-        raise KeyError(name)
 
     def to_json_dict(self) -> dict:
         """The v1 audit block; its ``relabeling`` is always null, since the
@@ -505,8 +503,8 @@ class AuditReport:
             "n": rep.n,
             "p": rep.p,
             "relabeling": None,
-            "sizes": {k: v for k, v in self.sizes},
-            "rows": [asdict(r) for r in self.rows],
+            "sizes": self.sizes,
+            "rows": [asdict(r) for r in self.rows.values()],
             "constants": rep.constants.to_json_dict(),
             "degenerate_heavy_threshold": rep.degenerate_heavy_threshold,
             "degenerate_rich_threshold": rep.degenerate_rich_threshold,
@@ -558,11 +556,6 @@ def defect_audit(
     union_defect = set()
     for b in rep.defect:
         union_defect.update(b.indices)
-    b1_first_pairs = set()
-    first = part.classes[0]
-    for e in rep.defect[0].edges:
-        inside = sorted(v for v in e if v in first)
-        b1_first_pairs.update(combinations(inside, 2))
     lprime_pairs = frozenset(
         pr
         for pr in rep.shadow_first
@@ -571,61 +564,58 @@ def defect_audit(
     )
     c = consts
 
-    def row(name: str, left: float, relation: str, right: float) -> AuditRow:
+    def ineq(name: str, left: float, relation: str, right: float) -> AuditRow:
         holds = _RELATIONS[relation](left, right)
         return AuditRow(name, float(left), relation, float(right), holds)
 
-    rows = (
-        row("condition_union_defect", len(union_defect), "<=", float(c.delta) * p * n**4),
-        row("condition_first_defect_nonempty", b_sizes[0], ">", 0),
-        row(
-            "condition_low_pair_disjoint",
-            len(b1_first_pairs & rep.low_pair_set),
-            "==",
-            0,
-        ),
-        row("conclusion_strict", cross_f + 4 * b_sizes[0], "<", cross_g),
-        row("conclusion_nonstrict", cross_f + 4 * b_sizes[0], "<=", cross_g),
-        row("heavy_size_bound", len(rep.heavy), "<=", float(c.eps3) * n),
-        row(
+    rows = {r.name: r for r in (
+        ineq("condition_union_defect", len(union_defect), "<=", float(c.delta) * p * n**4),
+        ineq("condition_first_defect_nonempty", b_sizes[0], ">", 0),
+        # an edge covers a first-class pair only if it has two first-class
+        # vertices, so the pairs of defect[0] are the first-class shadow
+        ineq("condition_low_pair_disjoint", len(rep.shadow_first & rep.low_pair_set), "==", 0),
+        ineq("conclusion_strict", cross_f + 4 * b_sizes[0], "<", cross_g),
+        ineq("conclusion_nonstrict", cross_f + 4 * b_sizes[0], "<=", cross_g),
+        ineq("heavy_size_bound", len(rep.heavy), "<=", float(c.eps3) * n),
+        ineq(
             "missing_vs_rich",
             len(rep.missing),
             ">=",
             float(c.eps1 * c.eps2 / (16 * c.eps3)) * p * n**3 * len(rep.heavy_rich),
         ),
-        row(
+        ineq(
             "missing_vs_split_shadow",
             len(rep.missing),
             ">=",
             p * n**2 / (320 * float(c.eps1)) * len(lprime_pairs),
         ),
-        row(
+        ineq(
             "missing_vs_poor",
             len(rep.missing),
             ">=",
             p * n**3 / 130 * len(rep.heavy_poor),
         ),
-    )
-    sizes = (
-        ("crossing_host", cross_g),
-        ("crossing_sub", cross_f),
-        ("defect_1", b_sizes[0]),
-        ("defect_2", b_sizes[1]),
-        ("defect_3", b_sizes[2]),
-        ("defect_4", b_sizes[3]),
-        ("defect_union", len(union_defect)),
-        ("missing", len(rep.missing)),
-        ("shadow_first", len(rep.shadow_first)),
-        ("split_shadow", len(lprime_pairs)),
-        ("heavy", len(rep.heavy)),
-        ("light", len(rep.light)),
-        ("heavy_rich", len(rep.heavy_rich)),
-        ("heavy_poor", len(rep.heavy_poor)),
-        ("low_pairs", len(rep.low_pair_set)),
-        ("defect_split_1", len(rep.defect_split[0])),
-        ("defect_split_2", len(rep.defect_split[1])),
-        ("defect_split_3", len(rep.defect_split[2])),
-    )
+    )}
+    sizes = {
+        "crossing_host": cross_g,
+        "crossing_sub": cross_f,
+        "defect_1": b_sizes[0],
+        "defect_2": b_sizes[1],
+        "defect_3": b_sizes[2],
+        "defect_4": b_sizes[3],
+        "defect_union": len(union_defect),
+        "missing": len(rep.missing),
+        "shadow_first": len(rep.shadow_first),
+        "split_shadow": len(lprime_pairs),
+        "heavy": len(rep.heavy),
+        "light": len(rep.light),
+        "heavy_rich": len(rep.heavy_rich),
+        "heavy_poor": len(rep.heavy_poor),
+        "low_pairs": len(rep.low_pair_set),
+        "defect_split_1": len(rep.defect_split[0]),
+        "defect_split_2": len(rep.defect_split[1]),
+        "defect_split_3": len(rep.defect_split[2]),
+    }
     return AuditReport(sizes=sizes, rows=rows, decomposition=rep)
 
 

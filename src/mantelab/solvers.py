@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +95,21 @@ class _Ticker:
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
+
+
+@contextmanager
+def _recursion_room(frames: int):
+    """Raise the recursion limit by ``frames`` for a search nesting that deep, then restore it.
+
+    Checked on CPython 3.11, which keeps Python-to-Python calls off the C
+    stack; on 3.10 each frame also takes C stack.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +290,9 @@ def max_cut4_exact(
             )
 
     try:
-        dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
+        # dfs nests once per assigned vertex, n + 1 deep, plus its leaf calls
+        with _recursion_room(n + 2):
+            dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
         budget_hit = False
     except _BudgetExceeded:
         budget_hit = True
@@ -502,7 +521,10 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             status[x] = UNDEC
 
     try:
-        search((1 << len(triples)) - 1, 0, 0)
+        # a frame recurses only after deciding an edge of its own (a resolved
+        # pick recurses once after a keep), so search nests at most m + 1 deep
+        with _recursion_room(m + 2):
+            search((1 << len(triples)) - 1, 0, 0)
         budget_hit = False
     except _BudgetExceeded:
         budget_hit = True

@@ -216,7 +216,7 @@ def test_c08_concentration_monte_carlo():
         if rep.all_pass:
             passes += 1
         for name in row_pass:
-            if rep.row(name).passed:
+            if rep.rows[name].passed:
                 row_pass[name] += 1
     elapsed = time.monotonic() - t0
     rates = " ".join(f"{k_}={v}/100" for k_, v in row_pass.items())

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -228,6 +229,41 @@ class TestWrongTypedField:
         assert cli_main(["phase", "--config", str(cfg)]) == EXIT_FAILED
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.csv").exists()
+
+
+# numbers of the right type that a run cannot use, once run or crashed on:
+# (overrides, the name the error must start with).  json.load reads NaN and
+# Infinity (and 1e400 as Infinity); the audit divides by eps1, eps2, delta,
+# eps3 and 1 - eps.
+_BAD_NUMBERS = [
+    ({"p": {"logn_multipliers": [math.nan]}}, "p.logn_multipliers item"),
+    ({"p": {"absolute": [math.nan]}}, "p.absolute item"),
+    ({"eps": math.inf}, "eps"),
+    ({"budget": {"max_seconds": math.inf}}, "budget.max_seconds"),
+    ({"constants": {"alpha": math.nan}}, "constants.alpha"),
+    ({"constants": {"xi": -math.inf}}, "constants.xi"),
+    ({"constants": {"eps": 1}}, "constants.eps"),
+    ({"constants": {"eps1": 0}}, "constants.eps1"),
+    ({"constants": {"eps2": 0}}, "constants.eps2"),
+    ({"constants": {"delta": 0}}, "constants.delta"),
+    ({"constants": {"eps3": "0"}}, "constants.eps3"),
+]
+
+
+@pytest.mark.parametrize("overrides,name", _BAD_NUMBERS, ids=[b[1] for b in _BAD_NUMBERS])
+class TestBadNumber:
+    def test_config_error(self, tmp_path, overrides, name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
+            config_from_dict(base_doc(tmp_path, kind="audit", **overrides))
+
+    def test_cli_error_line(self, tmp_path, capsys, overrides, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(tmp_path, kind="audit", **overrides)))
+        assert cli_main(["audit", "--config", str(cfg)]) == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ")
         assert "Traceback" not in err
         assert not (tmp_path / "run.csv").exists()
 

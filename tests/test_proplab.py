@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -34,6 +35,13 @@ from conftest import random_hypergraph, random_vertex_partition
 
 def equal_parts(n):
     return VertexPartition(4, tuple(v * 4 // n for v in range(n)))
+
+
+def unbalanced_parts(n, first, seed):
+    """A first class of ``first`` random vertices; the others in classes 1-3 at random."""
+    r = random.Random(seed)
+    cls0 = set(r.sample(range(n), first))
+    return VertexPartition(4, tuple(0 if v in cls0 else r.randrange(1, 4) for v in range(n)))
 
 
 class TestChernoff:
@@ -92,9 +100,29 @@ class TestConstants:
     def test_float_constant_takes_only_numbers(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be a number, got Fraction"):
             AuditConstants().with_overrides(**{key: Fraction(1, 3)})
-        for value in (2, 0.5):
+        # an int and a float in range (eps must be < 1)
+        for value in (0 if key == "eps" else 2, 0.5):
             c = AuditConstants().with_overrides(**{key: value})
             assert json.loads(json.dumps(c.to_json_dict()))[key] == value
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("eps1", Fraction(0)), ("eps2", Fraction(0)), ("delta", Fraction(0)),
+         ("eps3", Fraction(-1)), ("eps", 1), ("eps", 1.5)],
+    )
+    def test_rejects_zero_divisors(self, key, value):
+        # the audit divides by eps1, eps2, delta, eps3 and 1 - eps
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            AuditConstants(**{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            AuditConstants().with_overrides(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value", [("alpha", math.nan), ("phi", math.inf), ("eps1", -math.inf), ("eps2", "0")]
+    )
+    def test_override_rejects_non_finite_and_zero(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            AuditConstants().with_overrides(**{key: value})
 
     def test_json_fields_fixed(self):
         d = AuditConstants().to_json_dict()
@@ -109,10 +137,10 @@ class TestConcentration:
     def test_complete_host_exact_counts(self):
         g = complete_hypergraph(16, 4)
         rep = concentration_report(g, 1.0, equal_parts(16), eps=0.25)
-        row = rep.row("triple_codegree")
+        row = rep.rows["triple_codegree"]
         assert row.observed_min == row.observed_max == 13  # n - 3
         assert row.passed  # eps = 0.25 >= 3/n
-        assert rep.row("crossing_degree").passed  # exactly the class product
+        assert rep.rows["crossing_degree"].passed  # exactly the class product
         # the nominal n^3/6 formulas carry O(1/n) slack, so the whole report
         # needs a wider band at n = 16: C(14,3) = 364 vs 16^3/6 = 682.7
         wide = concentration_report(g, 1.0, equal_parts(16), eps=0.5)
@@ -121,12 +149,12 @@ class TestConcentration:
     def test_complete_host_tight_band_fails_triple_row(self):
         g = complete_hypergraph(16, 4)
         rep = concentration_report(g, 1.0, equal_parts(16), eps=0.1)
-        assert rep.row("triple_codegree").passed is False  # needs eps >= 3/n
+        assert rep.rows["triple_codegree"].passed is False  # needs eps >= 3/n
 
     def test_empty_host_fails(self):
         rep = concentration_report(empty_hypergraph(12, 4), 0.5, equal_parts(12), 0.25)
         assert not rep.all_pass
-        assert rep.row("vertex_degree").observed_max == 0
+        assert rep.rows["vertex_degree"].observed_max == 0
 
     def test_rejects_degenerate_p(self):
         g = complete_hypergraph(8, 4)
@@ -137,10 +165,10 @@ class TestConcentration:
     def test_without_partition_crossing_row_not_applicable(self):
         g = complete_hypergraph(8, 4)
         rep = concentration_report(g, 1.0)
-        row = rep.row("crossing_degree")
+        row = rep.rows["crossing_degree"]
         assert not row.applicable and row.passed is None
         # inapplicable rows never count against the aggregate
-        assert rep.all_pass == all(r.passed for r in rep.rows if r.applicable)
+        assert rep.all_pass == all(r.passed for r in rep.rows.values() if r.applicable)
 
     def test_rows_match_naive_scan(self, rng):
         hosts = []
@@ -161,34 +189,34 @@ class TestConcentration:
                 len([x for x in range(n) if tuple(sorted(t + (x,))) in h.edge_set and x not in t])
                 for t in combinations(range(n), 3)
             ]
-            assert rep.row("triple_codegree").observed_min == min(triples)
-            assert rep.row("triple_codegree").observed_max == max(triples)
+            assert rep.rows["triple_codegree"].observed_min == min(triples)
+            assert rep.rows["triple_codegree"].observed_max == max(triples)
 
             pairs = [
                 sum(1 for e in h.edges if pr[0] in e and pr[1] in e)
                 for pr in combinations(range(n), 2)
             ]
-            assert rep.row("pair_codegree").observed_min == min(pairs)
-            assert rep.row("pair_codegree").observed_max == max(pairs)
+            assert rep.rows["pair_codegree"].observed_min == min(pairs)
+            assert rep.rows["pair_codegree"].observed_max == max(pairs)
 
             commons = []
             for u, v in combinations(range(n), 2):
                 lu = set(link(h, u).edges)
                 lv = set(link(h, v).edges)
                 commons.append(len(lu & lv))
-            assert rep.row("pair_common_degree").observed_min == min(commons)
-            assert rep.row("pair_common_degree").observed_max == max(commons)
+            assert rep.rows["pair_common_degree"].observed_min == min(commons)
+            assert rep.rows["pair_common_degree"].observed_max == max(commons)
 
             degrees = [h.degree(v) for v in range(n)]
-            assert rep.row("vertex_degree").observed_min == min(degrees)
-            assert rep.row("vertex_degree").observed_max == max(degrees)
+            assert rep.rows["vertex_degree"].observed_min == min(degrees)
+            assert rep.rows["vertex_degree"].observed_max == max(degrees)
 
     def test_crossing_row_rescaled_per_source_class(self):
         # unequal classes: every source class checked against its own product
         g = complete_hypergraph(12, 4)
         part = partition_from_classes([[0, 1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11]], 12)
         rep = concentration_report(g, 1.0, part, eps=0.01)
-        row = rep.row("crossing_degree")
+        row = rep.rows["crossing_degree"]
         # complete host: crossing degree equals the product exactly for every class
         assert row.applicable and row.passed
         assert row.observed_min == pytest.approx(row.expected)
@@ -198,7 +226,7 @@ class TestConcentration:
         g = complete_hypergraph(8, 4)
         part = partition_from_classes([[], [0, 1, 2], [3, 4, 5], [6, 7]], 8)
         rep = concentration_report(g, 1.0, part, 0.25)
-        assert rep.row("crossing_degree").applicable is False
+        assert rep.rows["crossing_degree"].applicable is False
 
 
 class TestLowPairs:
@@ -228,20 +256,27 @@ class TestLowPairs:
             big = low_pairs(g, part, 0.5, alpha=0.8).pairs
             assert small <= big
 
-    def test_matches_common_crossing_degree(self, rng):
+    @pytest.mark.parametrize(
+        "n,p,first_size",
+        [(12, 0.6, None), (8, 0.8, None), (13, 0.6, None), (20, 0.4, None),
+         (13, 0.6, 0), (13, 0.6, 1), (13, 0.6, 2), (13, 0.6, 6), (20, 0.5, 9)],
+    )
+    def test_matches_common_crossing_degree(self, n, p, first_size):
+        """None takes equal parts (unequal at n = 13); else a first class of that size."""
         from mantelab.hypergraph import common_degree
 
+        outcomes = set()
         for i in range(6):
-            g = sample_gknp(12, 4, 0.6, derive_seed(61, i))
-            part = equal_parts(12)
-            rep = low_pairs(g, part, 0.6, alpha=0.35)
+            g = sample_gknp(n, 4, p, derive_seed(61, i))
+            part = equal_parts(n) if first_size is None else unbalanced_parts(n, first_size, i)
             first = sorted(part.classes[0])
-            expected = frozenset(
-                pr
-                for pr in combinations(first, 2)
-                if common_degree(g, pr[0], pr[1], part) < rep.threshold
-            )
-            assert rep.pairs == expected
+            degrees = {pr: common_degree(g, pr[0], pr[1], part) for pr in combinations(first, 2)}
+            # thresholds below, inside and above the spread of common degrees
+            for alpha in (0.05, 0.35, 0.7, 2.0):
+                rep = low_pairs(g, part, p, alpha=alpha)
+                assert rep.pairs == frozenset(pr for pr, d in degrees.items() if d < rep.threshold)
+                outcomes.update(pr in rep.pairs for pr in degrees)
+        assert outcomes == ({True, False} if len(first) >= 2 else set())
 
 
 class TestDecomposition:
@@ -343,16 +378,16 @@ class TestDefectAudit:
         res = max_cut4_local(g, derive_seed(2, 2), restarts=4)
         f = crossing_edges(g, res.witness).as_hypergraph()
         rep = defect_audit(g, f, res.witness, 1.0)
-        assert rep.size("defect_1") == 0
-        assert rep.row("condition_first_defect_nonempty").holds is False
-        assert rep.row("conclusion_nonstrict").holds is True
+        assert rep.sizes["defect_1"] == 0
+        assert rep.rows["condition_first_defect_nonempty"].holds is False
+        assert rep.rows["conclusion_nonstrict"].holds is True
 
     def test_empty_host(self):
         g = empty_hypergraph(8, 4)
         rep = defect_audit(g, g, equal_parts(8), 0.5)
-        assert rep.size("missing") == 0
-        assert rep.size("crossing_host") == 0
-        assert rep.row("conclusion_nonstrict").holds is True
+        assert rep.sizes["missing"] == 0
+        assert rep.sizes["crossing_host"] == 0
+        assert rep.rows["conclusion_nonstrict"].holds is True
 
     def test_rejects_subhypergraph_with_copy(self):
         g = complete_hypergraph(7, 4)
@@ -379,23 +414,46 @@ class TestDefectAudit:
                 for v in range(12)
             )
             rep = defect_audit(g, f, relabeled, 0.5)
-            assert rep.size("defect_1") == max(naive)
-            assert rep.size("defect_1") >= rep.size("defect_2")
+            assert rep.sizes["defect_1"] == max(naive)
+            assert rep.sizes["defect_1"] >= rep.sizes["defect_2"]
         assert moved >= 5
+
+    def test_low_pair_disjoint_counts_defect_pairs(self, rng):
+        from mantelab.hypergraph import common_degree
+
+        nonzero = 0
+        for i in range(12):
+            n = rng.choice((8, 10, 12))
+            g = sample_gknp(n, 4, 0.5, derive_seed(68, i))
+            f = max_tfree_repair(g, derive_seed(68, i), 1).witness.as_hypergraph()
+            part = random_vertex_partition(rng, n, 4)
+            consts = AuditConstants().with_overrides(alpha=2.0)
+            left = defect_audit(g, f, part, 0.5, consts).rows["condition_low_pair_disjoint"].left
+            first = part.classes[0]
+            defect_pairs = {
+                pr
+                for e in f.edges
+                for pr in combinations(sorted(v for v in e if v in first), 2)
+            }
+            threshold = 2.0 / 32 * 0.5 * 0.5 * n**3
+            naive = sum(1 for x, y in defect_pairs if common_degree(g, x, y, part) < threshold)
+            assert left == naive
+            nonzero += naive > 0
+        assert nonzero >= 3
 
     def test_all_rows_present_and_finite(self, rng):
         g = sample_gknp(10, 4, 0.5, derive_seed(67, 0))
         part = random_vertex_partition(rng, 10, 4)
         f = crossing_edges(g, part).as_hypergraph()
         rep = defect_audit(g, f, part, 0.5)
-        names = {r.name for r in rep.rows}
+        names = {r.name for r in rep.rows.values()}
         assert names == {
             "condition_union_defect", "condition_first_defect_nonempty",
             "condition_low_pair_disjoint", "conclusion_strict",
             "conclusion_nonstrict", "heavy_size_bound", "missing_vs_rich",
             "missing_vs_split_shadow", "missing_vs_poor",
         }
-        for r in rep.rows:
+        for r in rep.rows.values():
             assert math.isfinite(r.left) and math.isfinite(r.right)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import product
 
 import numpy as np
@@ -520,6 +521,46 @@ class TestCut4Exact:
                         if sum(split) == r
                     )
                     assert _max_class_product(sizes, r) == best
+
+
+def _stack_depth() -> int:
+    """Frames on the caller's stack."""
+    f, depth = sys._getframe(1), 0
+    while f is not None:
+        f, depth = f.f_back, depth + 1
+    return depth
+
+
+class TestRecursionRoom:
+    """The exact searches nest once per decided edge or assigned vertex, which
+    can pass the interpreter's recursion limit.  With the limit 16 frames
+    above the caller, the work before the search fits and the search itself
+    fits only because it raises the limit by its depth."""
+
+    @pytest.mark.parametrize(
+        "solve,host,max_nodes",
+        [
+            # unguarded, the search needs about 44 frames above the caller
+            (max_tfree_exact, complete_hypergraph(8, 4), 500),
+            # unguarded, about 31
+            (max_cut4_exact, sample_gknp(40, 4, 0.005, derive_seed(3, 0)), 300),
+        ],
+        ids=["tfree", "cut4"],
+    )
+    def test_search_deeper_than_the_limit(self, solve, host, max_nodes):
+        want = solve(host, Budget(max_nodes=max_nodes))
+        limit = sys.getrecursionlimit()
+        low = _stack_depth() + 16
+        sys.setrecursionlimit(low)
+        try:
+            got = solve(host, Budget(max_nodes=max_nodes))
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert after == low
+        assert (got.value, got.optimal, got.stats.nodes) == (
+            want.value, want.optimal, want.stats.nodes,
+        )
 
 
 class TestCut4Local:
