@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 MAX_COPIES_EXACT = 10**7
+# m x C bits of per-edge copy masks (512 MiB) admit the complete k = 4,
+# n = 15 host (about 230 MB) and refuse n = 17 (about 1.2 GB)
+MAX_MASK_BITS_EXACT = 2**32
 
 
 @dataclass(frozen=True)
@@ -75,23 +78,23 @@ class _BudgetExceeded(Exception):
 
 
 class _Ticker:
-    """Counts search nodes and enforces the budget every few hundred nodes."""
+    """Counts search nodes and enforces the budget at every node."""
 
-    __slots__ = ("nodes", "max_nodes", "max_seconds", "start")
+    __slots__ = ("nodes", "max_nodes", "deadline", "start")
 
     def __init__(self, budget: Budget | None):
         self.nodes = 0
         self.max_nodes = budget.max_nodes if budget else None
-        self.max_seconds = budget.max_seconds if budget else None
         self.start = time.monotonic()
+        seconds = budget.max_seconds if budget else None
+        self.deadline = None if seconds is None else self.start + seconds
 
     def tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExceeded
-        if self.max_seconds is not None and self.nodes % 256 == 0:
-            if time.monotonic() - self.start > self.max_seconds:
-                raise _BudgetExceeded
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetExceeded
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
@@ -375,19 +378,25 @@ def _greedy_tfree(
 def _tfree_incumbent(
     h: Hypergraph, triples: np.ndarray, seed: int, runs: int, restarts: int
 ) -> list[int]:
-    """Kept edge ids of the larger of two copy-free sets (greedy on ties).
+    """Kept edge ids of the largest of three copy-free sets.
 
-    One is the best of ``runs`` greedy deletions, the other the crossing set
-    of the best local k-class cut over ``restarts``; each draws from its own
-    ``random.Random(seed)``.  A crossing set is copy-free: two edges of a
-    copy share k - 1 vertices, so if both cross, their other two vertices
-    take the one class the shared ones miss, and the third edge, which holds
-    both, cannot cross.
+    One is the best of ``runs`` greedy deletions, one the crossing set of the
+    best local k-class cut over ``restarts`` (each draws from its own
+    ``random.Random(seed)``), and one the star of the lowest-index vertex of
+    maximum degree.  The crossing set wins over greedy only when strictly
+    larger, and the star only when strictly larger than both.  A crossing
+    set is copy-free: two edges of a copy share k - 1 vertices, so if both
+    cross, their other two vertices take the one class the shared ones miss,
+    and the third edge, which holds both, cannot cross.  A star is
+    copy-free: a copy's two core edges meet only in the core, which its
+    third edge misses, so no vertex lies in all three.
     """
     greedy = _greedy_tfree(triples, len(h), random.Random(seed), runs)
     _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
     crossing = sorted(crossing_edges(h, VertexPartition(h.k, assign)).indices)
-    return crossing if len(crossing) > len(greedy) else greedy
+    best = crossing if len(crossing) > len(greedy) else greedy
+    star = max(h.vertex_edges, key=len, default=())
+    return list(star) if len(star) > len(best) else best
 
 
 def max_tfree_repair(
@@ -397,8 +406,11 @@ def max_tfree_repair(
 
     Runs the greedy deletion heuristic (deterministic, then randomized tie
     breaks across restarts) and additionally seeds the incumbent with the best
-    local-cut crossing set under the same (seed, restarts), so the returned
-    value is never below the local cut's.  Hosts with more than
+    local-cut crossing set under the same (seed, restarts) and with the star
+    at a maximum-degree vertex, so the returned value is never below the
+    local cut's or the maximum degree.  The star is copy-free because a
+    copy's two core edges meet only in the core, which its third edge
+    misses.  Hosts with more than
     ``MAX_COPIES_EXACT`` copies are refused (ValueError) as in
     :func:`max_tfree_exact`.
     """
@@ -449,11 +461,24 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     the candidates.  Memory is O(edges * copies) bits, with no per-copy
     conflict mask.  Instances with more than ``MAX_COPIES_EXACT`` (10^7)
     copies are refused (ValueError) at the first block of copies past that
-    count, to guard memory.
+    count, and instances whose masks would take more than
+    ``MAX_MASK_BITS_EXACT`` bits are refused before they are built, to
+    guard memory.
+
+    The incumbent starts at the largest of the greedy set, the local-cut
+    crossing set and the star at a maximum-degree vertex
+    (:func:`_tfree_incumbent`).  The star is copy-free because a copy's two
+    core edges meet only in the core, which its third edge misses, so the
+    value is at least the maximum degree under any budget.
     """
     t0 = time.monotonic()
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
     m = len(h)
+    if m * len(triples) > MAX_MASK_BITS_EXACT:
+        raise ValueError(
+            f"mask guard: {m} edges x {len(triples)} copies is more than "
+            f"{MAX_MASK_BITS_EXACT} bits of copy masks"
+        )
     if not len(triples):
         return SolveResult(
             value=m,

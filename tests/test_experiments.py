@@ -512,8 +512,19 @@ class TestTuranTable:
         assert int(r["ex_value"]) == 20 and int(r["turan_edges"]) == 8
         assert r["equality"] == "false"
 
-    def test_cap_exceeded_fails(self, tmp_path):
+    def test_four_uniform_eight_vertices(self, tmp_path):
+        # the star C(7, 3) = 35 is the extremum; the search certifies it
         doc = base_doc(tmp_path, kind="turan-table", k=4, n=[8], p={"absolute": [1.0]})
+        out = run_turan_table(config_from_dict(doc))
+        assert out.status == EXIT_CLEAN
+        _, _, rows = read_rows(out.files[0])
+        r = rows[0]
+        assert r["certified"] == "true"
+        assert int(r["ex_value"]) == 35 and int(r["turan_edges"]) == 16
+        assert r["equality"] == "false"
+
+    def test_cap_exceeded_fails(self, tmp_path):
+        doc = base_doc(tmp_path, kind="turan-table", k=4, n=[9], p={"absolute": [1.0]})
         out = run_turan_table(config_from_dict(doc))
         assert out.status == EXIT_FAILED
 

@@ -79,6 +79,38 @@ class TestTfreeExact:
         monkeypatch.setattr(mantelab.solvers, "MAX_COPIES_EXACT", copies)
         assert max_tfree_exact(h).optimal
 
+    def test_mask_guard_raises_before_the_masks(self, monkeypatch):
+        import mantelab.solvers
+
+        h = complete_hypergraph(7, 4)
+        bits = len(h) * count_T(h)
+        monkeypatch.setattr(mantelab.solvers, "MAX_MASK_BITS_EXACT", bits - 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(mantelab.solvers, "_edge_copy_masks", None)  # calling it fails
+            with pytest.raises(ValueError, match=f"mask guard: .* more than {bits - 1} bits"):
+                max_tfree_exact(h)
+        monkeypatch.setattr(mantelab.solvers, "MAX_MASK_BITS_EXACT", bits)
+        assert max_tfree_exact(h).optimal
+
+    @pytest.mark.parametrize("solve,host", [
+        (max_tfree_exact, "complete-8"), (max_cut4_exact, "gknp-10-0.5-0"),
+    ])
+    def test_time_budget_read_at_every_node(self, monkeypatch, solve, host):
+        # a clock that advances one second per read: the ticker's start is one
+        # read, and node j reads start + j, so a 2.5-s budget stops at node 3
+        import types
+        from itertools import count
+
+        import mantelab.solvers
+
+        clock = count()
+        monkeypatch.setattr(
+            mantelab.solvers, "time", types.SimpleNamespace(monotonic=lambda: next(clock))
+        )
+        res = solve(_golden_host(host), Budget(max_seconds=2.5))
+        assert res.stats.budget_hit and not res.optimal
+        assert res.stats.nodes == 3
+
     def test_pattern_needs_one_deletion(self):
         res = max_tfree_exact(generalized_triangle(4))
         assert res.value == 2 and res.optimal
@@ -427,11 +459,13 @@ class TestArrayKernels:
             assert got_rng.getstate() == ref_rng.getstate()
 
     def test_tfree_incumbent_tie_rule(self, rng):
-        # greedy keeps ties: the crossing set wins only when strictly larger
+        # greedy keeps ties: the crossing set wins only when strictly larger,
+        # and the star at the lowest-index vertex of maximum degree only when
+        # strictly larger than both
         from mantelab.motifs import t_copy_triples
         from mantelab.solvers import _greedy_tfree, _kpartite_local, _tfree_incumbent
 
-        tied_apart = 0
+        tied_apart = star_tied = star_won = 0
         for i in range(180):
             k = (2, 3, 4)[i % 3]
             h = random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.2, 0.8))
@@ -440,11 +474,17 @@ class TestArrayKernels:
             greedy = _greedy_tfree(trips, len(h), random.Random(i), runs)
             _, assign, _ = _kpartite_local(h, random.Random(i), restarts)
             crossing = sorted(naive_crossing_ids(h, VertexPartition(k, assign)))
-            want = crossing if len(crossing) > len(greedy) else greedy
+            best = crossing if len(crossing) > len(greedy) else greedy
+            v = int(np.bincount(h.edge_array.ravel(), minlength=h.n).argmax())
+            star = [j for j, e in enumerate(h.edges) if v in e]
+            want = star if len(star) > len(best) else best
             assert _tfree_incumbent(h, trips, i, runs, restarts) == want
             tied_apart += len(crossing) == len(greedy) and crossing != greedy
-        # a flipped tie rule fails on each of these hosts
-        assert tied_apart >= 20
+            star_tied += len(star) == len(best) and star != best
+            star_won += len(star) > len(best)
+        # a flipped tie rule fails on each of these hosts (44 and 21 of them
+        # here); the star is the strict winner on 55
+        assert tied_apart >= 20 and star_tied >= 10 and star_won >= 20
 
     def test_local_cut_pass_matches_loop(self, rng):
         from mantelab.solvers import _local_cut_pass
@@ -674,3 +714,17 @@ class TestStarFloor:
                 tight += res.value == deg.max()
         # hosts whose optimum is the star make an under-report by one fail
         assert tight >= 5
+
+    def test_star_floors_budgeted_and_heuristic_values(self, rng):
+        # both searches take the star as a candidate incumbent, so a one-node
+        # budget and the repair heuristic already reach the max degree
+        for k, lo, hi, p in [(2, 5, 10, 0.3), (3, 6, 9, 0.3), (4, 7, 10, 0.3)]:
+            for i in range(8):
+                h = random_hypergraph(rng, rng.randint(lo, hi), k, p=p)
+                top = max(h.degree(v) for v in range(h.n))
+                for res in (
+                    max_tfree_exact(h, Budget(max_nodes=1)),
+                    max_tfree_repair(h, derive_seed(3, i)),
+                ):
+                    assert count_T(res.witness.as_hypergraph()) == 0
+                    assert res.value == len(res.witness.edges) >= top
