@@ -71,7 +71,7 @@ GOLDEN = {
     "phase_heuristic": (
         dict(kind="phase-sweep", n=[10], p={"absolute": [0.0, 0.3]}, trials=2,
              tier="heuristic", restarts=2),
-        {".csv": "f1c7b25ee1326c9fac3048df69b35e60a0eca67edeb8f636e0732d20245b58ab"},
+        {".csv": "895adf7780ec2509d1406585f91888a791c3c61aa99d7a63dbf2c357e8606e45"},
     ),
     "concentration": (
         dict(kind="concentration", n=[12], p={"absolute": [0.0, 0.5]}, trials=2),
@@ -80,16 +80,16 @@ GOLDEN = {
     "audit_exact": (
         dict(kind="audit", n=[8, 16], p={"absolute": [0.4]}, trials=2, tier="exact"),
         {
-            ".csv": "5fdf2b87763288a2af6f5aa23d55d70f47fbfbecefbbbbdccd07845db9bbe66d",
-            ".json": "fba764883be72ed48f516766059d86a97566cdb8df8bed5ef104159f6c42bcc3",
+            ".csv": "ca612c474aff810c493e4ec1e2d2c7b9893e970e9336bd9a852df13b175e8032",
+            ".json": "c5dd3f4e2791e2eeb02dd88e56c9417e0fe8f4c73535feba1a29f6a91e477ae8",
         },
     ),
     "audit_heuristic": (
         dict(kind="audit", n=[10], p={"absolute": [0.3]}, trials=2,
              tier="heuristic", restarts=2),
         {
-            ".csv": "369606debc5d5f2b3743bd603c1838180585720c01ca909dbb82458923207708",
-            ".json": "3d064766a122fa75d6ae0aff55a2ea73d99fb706c8663a9ce1eb816e6afc970c",
+            ".csv": "a42a6d8b338d647c78ce5a9b0a4dfdd0792806d7cd7985808831820b9e442f2e",
+            ".json": "0d77a1a682c3d148b6c018fc693ee0390738ae693492132e5d66c549312128f4",
         },
     ),
     "turan_table": (

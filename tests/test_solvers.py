@@ -165,51 +165,51 @@ class TestTfreeExact:
 
 
 # max_tfree_exact results recorded from the per-copy-array solver that the
-# bitset state replaced; a rewrite that keeps the branching rules must
-# reproduce them exactly: (host, node budget, value, witness ids, optimal, nodes)
+# bitset state replaced; node counts, the gknp-8-0.5-1 witness and the
+# budgeted complete-10 row re-recorded when the star joined the incumbent,
+# which kept every certified value.  A rewrite that keeps the incumbent and
+# the branching rules must reproduce them exactly:
+# (host, node budget, value, witness ids, optimal, nodes)
 _GOLDEN_TFREE = [
     ("gknp-9-0.3-0", None, 23, (
         0, 2, 4, 9, 10, 11, 12, 14, 17, 18, 19, 20, 21, 23, 24, 25, 26, 30, 31, 32, 33,
         34, 35,
-    ), True, 705),
+    ), True, 99),
     ("gknp-9-0.3-1", None, 27, (
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
         22, 23, 24, 25, 26,
-    ), True, 602),
+    ), True, 235),
     ("gknp-9-0.3-2", None, 24, (
         0, 4, 5, 7, 12, 13, 14, 15, 17, 18, 19, 22, 23, 24, 25, 26, 27, 31, 32, 33, 34,
         38, 39, 40,
-    ), True, 1065),
+    ), True, 694),
     ("gknp-9-0.4-0", None, 27, (
         3, 5, 8, 9, 13, 15, 17, 20, 21, 22, 23, 24, 25, 27, 28, 30, 33, 34, 35, 39, 41,
         42, 44, 46, 47, 48, 49,
-    ), True, 6557),
+    ), True, 2227),
     ("gknp-9-0.4-1", None, 31, (
         1, 2, 5, 6, 7, 8, 11, 14, 17, 18, 19, 21, 24, 26, 29, 32, 34, 35, 37, 42, 44,
         45, 47, 48, 49, 50, 51, 52, 53, 55, 56,
-    ), True, 15322),
+    ), True, 1771),
     ("gknp-9-0.4-2", None, 27, (
         0, 1, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25, 26, 27, 28, 29, 30, 39, 40, 41, 42,
         43, 44, 45, 46, 47, 48,
-    ), True, 19713),
+    ), True, 3164),
     ("gknp-8-0.5-0", None, 21, (
         3, 5, 6, 8, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 28, 29, 31, 32, 33,
-    ), True, 280),
+    ), True, 130),
     ("gknp-8-0.5-1", None, 22, (
-        0, 2, 3, 4, 5, 9, 10, 16, 17, 21, 22, 23, 26, 27, 28, 32, 33, 34, 35, 36, 37,
-        40,
-    ), True, 1271),
+        0, 1, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23, 24, 25, 32, 33, 34, 35, 36, 37,
+        38, 39,
+    ), True, 771),
     ("random-k2", None, 16, (
         1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 19, 21,
     ), True, 6),
     ("random-k3", None, 15, (
         1, 4, 6, 7, 8, 14, 15, 16, 17, 19, 20, 26, 27, 28, 29,
     ), True, 387),
-    ("complete-10", 300, 36, (
-        0, 4, 9, 22, 29, 33, 40, 47, 54, 60, 74, 81, 84, 88, 92, 102, 106, 115, 124,
-        136, 140, 144, 147, 154, 156, 163, 168, 174, 175, 181, 186, 193, 195, 202, 205,
-        209,
-    ), False, 301),
+    # the budget returns the incumbent, the star at vertex 0, C(9, 3) = 84 edges
+    ("complete-10", 300, 84, tuple(range(84)), False, 301),
 ]
 
 
@@ -304,26 +304,27 @@ def _sha(rows) -> str:
 
 
 # Heuristic-tier outputs recorded from the tuple-scan copy enumerator and the
-# list-based greedy and local cut; a rewrite that keeps each tie-breaking rule
+# list-based greedy and local cut, the repair re-recorded when the star joined
+# its incumbent; a rewrite that keeps each tie-breaking rule
 # must reproduce them exactly: (host, copies, sha256 of the copy rows,
 # repair value, sha256 of the repair witness ids, repair nodes, local cut
 # (value, assignment, moves)).  The local cut is max_cut4_local for k = 4 and
 # the r = k local search behind the repair's crossing incumbent otherwise.
 _GOLDEN_HEURISTIC = [
     ("gknp-10-0.3-0", 724, "7aa8e9f8cf70772287a0f467f43a8dafca80d3dca0bb3955eb5813715b34d4ce",
-     25, "987d5239553a660715f9cc64c5cf694d1dc87b6ea29a82cdb9fbd6729813de72", 40,
+     30, "162066e3363359f95908ac5bbd0c2ecdf5e2095005457a818be85365f6a3cad3", 35,
      (19, (3, 0, 0, 2, 1, 1, 0, 3, 1, 2), 12)),
     ("gknp-12-0.3-0", 4523, "2fae593954c993eb85a4bd9d9d92227e02935c986b503fd7ec08918d1b1509cd",
-     40, "5f90b1507c73bcaa9a060e7ff1d92cf1a596b080fb528dd44a9720a7bd2d95c5", 110,
+     56, "960ca17ce814fd6421c6f0d2bc669e602cc30b0fcb77c57e4de9a23cc86607ec", 94,
      (35, (2, 0, 2, 3, 1, 0, 0, 1, 1, 3, 3, 2), 16)),
     ("gknp-12-0.3-1", 4746, "9c6da92239894a660c42c9765dfb56f5be0efddc2908e6fba4a82eec3f7f931b",
-     39, "37239ed30e9424334e06f2833ca46ff743a3fd5dfffc12371b352b713c46dd20", 113,
+     59, "ba06ef0799b78d66ead45ac0c8e616355d3e41b2e4784dd2ee12f7b34d0ead24", 93,
      (34, (2, 1, 1, 3, 1, 3, 0, 2, 0, 0, 1, 2), 14)),
     ("gknp-14-0.3-0", 19841, "6f0c3955a53b26a7372496d06728cbd89557b365bf4d9e700025721cf0f5eb67",
-     66, "4fb4d2eed453e885b9713610865ba56931514b40cb08deb03421a7c9ed4c29a2", 238,
+     100, "6a5e0ddb9ad7188b7518cfb601b80548136aa42f44d6177b6f1986c3ec1da795", 204,
      (66, (3, 1, 2, 1, 0, 1, 3, 3, 0, 2, 2, 3, 0, 0), 24)),
     ("gknp-14-0.3-1", 18169, "6b80d4112f0455e48678087cb393965766ea7d94fb34bd9cbc11d708cb60a71d",
-     67, "4998957073d021750ecc6205470e22173990658565eefdb01306b595e69cade2", 228,
+     93, "1cb124e6426c88ab3d209d8f5dc1c1859cdb9fe9967455aea592c3458a511529", 202,
      (67, (1, 2, 0, 3, 0, 3, 2, 3, 3, 1, 1, 2, 0, 2), 23)),
     ("random-k2", 20, "7c371fc1acc7d6758a5c9a06390b94c77d4517a36765b5e0b116b272ff1aa038",
      16, "e07ec52eab3bdea277d123f681d2770054d40202531e828c2483a265a98e8bf1", 6,
@@ -332,7 +333,7 @@ _GOLDEN_HEURISTIC = [
      15, "41b3b095d6bc2f49731e1658f6b728812a8483d8230533330df83bbace37b398", 15,
      (14, (1, 0, 2, 0, 0, 1, 2, 1), 10)),
     ("complete-9", 7560, "3146a5516f1e74b7975632743311aef437ad4e016a4da3e1f8f478958396b796",
-     33, "09159d96704546e431c05ded921932c1916f94a2eda102027e902f9747c939ec", 93,
+     56, "7914a6b8e634ba9718a5c5d1e7b6fdd4ea5e72686a0054e3707ac4c100e627c7", 70,
      (24, (0, 1, 2, 3, 0, 1, 2, 3, 0), 3)),
 ]
 
