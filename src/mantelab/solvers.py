@@ -44,7 +44,7 @@ __all__ = [
 
 MAX_COPIES_EXACT = 10**7
 # m x C bits of per-edge copy masks (512 MiB) admit the complete k = 4,
-# n = 15 host (about 230 MB) and refuse n = 17 (about 1.2 GB)
+# n = 15 host (about 230 MB) and refuse n = 16 (about 550 MB) and up
 MAX_MASK_BITS_EXACT = 2**32
 
 
