@@ -455,10 +455,14 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     from ``live``; keeping e forces the copies in ``cm[e] & live & k1``, in
     ascending id order.  No live copy ever has two kept edges, so keeping
     never closes a copy.  The value bound is the remaining edges minus a
-    greedy packing of live edge-disjoint copies (each needs its own future
-    deletion), built in copy-id order by lowest-set-bit extraction: take the
-    lowest candidate (a, b, c), then clear ``cm[a] | cm[b] | cm[c]`` from
-    the candidates.  Memory is O(edges * copies) bits, with no per-copy
+    greedy packing of live copies whose undecided edges are pairwise
+    disjoint: each packed copy needs its own future deletion among them.  A
+    kept edge is never deleted, so it is not spent.  The packing runs in
+    two passes by lowest-set-bit extraction.  First, over ``live & k1``,
+    each packed copy clears the masks of its two undecided edges (its third
+    is kept) from the candidates, and those masks gather in ``blocked``.
+    Then, over ``live & ~k1 & ~blocked``, each packed copy (a, b, c), all
+    undecided, clears ``cm[a] | cm[b] | cm[c]``.  Memory is O(edges * copies) bits, with no per-copy
     conflict mask.  Instances with more than ``MAX_COPIES_EXACT`` (10^7)
     copies are refused (ValueError) at the first block of copies past that
     count, and instances whose masks would take more than
@@ -497,8 +501,21 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
 
     def search(live: int, k1: int, ndel: int) -> None:
         ticker.tick()
-        cand = live
         packing = 0
+        blocked = 0
+        cand = live & k1
+        while cand:
+            x, y, z = triples[(cand & -cand).bit_length() - 1]
+            if status[x] == KEPT:
+                spent = cm[y] | cm[z]
+            elif status[y] == KEPT:
+                spent = cm[x] | cm[z]
+            else:
+                spent = cm[x] | cm[y]
+            cand &= ~spent
+            blocked |= spent
+            packing += 1
+        cand = live & ~k1 & ~blocked
         while cand:
             a, b, c = triples[(cand & -cand).bit_length() - 1]
             cand &= ~(cm[a] | cm[b] | cm[c])
