@@ -167,47 +167,49 @@ class TestTfreeExact:
 # max_tfree_exact results recorded from the per-copy-array solver that the
 # bitset state replaced; node counts, the gknp-8-0.5-1 witness and the
 # budgeted complete-10 row re-recorded when the star joined the incumbent,
-# which kept every certified value.  A rewrite that keeps the incumbent and
-# the branching rules must reproduce them exactly:
+# which kept every certified value; node counts re-recorded again when the
+# kept-edge packing joined the bound, which moved no value, witness or flag.
+# A rewrite that keeps the incumbent, the branching rules and the bound must
+# reproduce them exactly:
 # (host, node budget, value, witness ids, optimal, nodes)
 _GOLDEN_TFREE = [
     ("gknp-9-0.3-0", None, 23, (
         0, 2, 4, 9, 10, 11, 12, 14, 17, 18, 19, 20, 21, 23, 24, 25, 26, 30, 31, 32, 33,
         34, 35,
-    ), True, 99),
+    ), True, 39),
     ("gknp-9-0.3-1", None, 27, (
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
         22, 23, 24, 25, 26,
-    ), True, 235),
+    ), True, 71),
     ("gknp-9-0.3-2", None, 24, (
         0, 4, 5, 7, 12, 13, 14, 15, 17, 18, 19, 22, 23, 24, 25, 26, 27, 31, 32, 33, 34,
         38, 39, 40,
-    ), True, 694),
+    ), True, 236),
     ("gknp-9-0.4-0", None, 27, (
         3, 5, 8, 9, 13, 15, 17, 20, 21, 22, 23, 24, 25, 27, 28, 30, 33, 34, 35, 39, 41,
         42, 44, 46, 47, 48, 49,
-    ), True, 2227),
+    ), True, 367),
     ("gknp-9-0.4-1", None, 31, (
         1, 2, 5, 6, 7, 8, 11, 14, 17, 18, 19, 21, 24, 26, 29, 32, 34, 35, 37, 42, 44,
         45, 47, 48, 49, 50, 51, 52, 53, 55, 56,
-    ), True, 1771),
+    ), True, 291),
     ("gknp-9-0.4-2", None, 27, (
         0, 1, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25, 26, 27, 28, 29, 30, 39, 40, 41, 42,
         43, 44, 45, 46, 47, 48,
-    ), True, 3164),
+    ), True, 720),
     ("gknp-8-0.5-0", None, 21, (
         3, 5, 6, 8, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 28, 29, 31, 32, 33,
-    ), True, 130),
+    ), True, 46),
     ("gknp-8-0.5-1", None, 22, (
         0, 1, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23, 24, 25, 32, 33, 34, 35, 36, 37,
         38, 39,
-    ), True, 771),
+    ), True, 247),
     ("random-k2", None, 16, (
         1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 19, 21,
-    ), True, 6),
+    ), True, 4),
     ("random-k3", None, 15, (
         1, 4, 6, 7, 8, 14, 15, 16, 17, 19, 20, 26, 27, 28, 29,
-    ), True, 387),
+    ), True, 131),
     # the budget returns the incumbent, the star at vertex 0, C(9, 3) = 84 edges
     ("complete-10", 300, 84, tuple(range(84)), False, 301),
 ]
