@@ -462,12 +462,15 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     each packed copy clears the masks of its two undecided edges (its third
     is kept) from the candidates, and those masks gather in ``blocked``.
     Then, over ``live & ~k1 & ~blocked``, each packed copy (a, b, c), all
-    undecided, clears ``cm[a] | cm[b] | cm[c]``.  Memory is O(edges * copies) bits, with no per-copy
-    conflict mask.  Instances with more than ``MAX_COPIES_EXACT`` (10^7)
-    copies are refused (ValueError) at the first block of copies past that
-    count, and instances whose masks would take more than
-    ``MAX_MASK_BITS_EXACT`` bits are refused before they are built, to
-    guard memory.
+    undecided, clears ``cm[a] | cm[b] | cm[c]``.
+
+    Memory is O(edges * copies) bits, with no per-copy conflict mask.  To
+    guard it, the copy scan stops with ValueError at the first block of
+    copies past ``MAX_COPIES_EXACT`` (10^7) copies (the copy guard) or past
+    ``MAX_MASK_BITS_EXACT // edges`` copies (the mask guard), before any
+    mask is built.  A time budget is charged from entry, so the copy scan,
+    the incumbent and the masks count against it; a budget spent before
+    the search stops it at its first node.
 
     The incumbent starts at the largest of the greedy set, the local-cut
     crossing set and the star at a maximum-degree vertex
@@ -475,20 +478,25 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     core edges meet only in the core, which its third edge misses, so the
     value is at least the maximum degree under any budget.
     """
-    t0 = time.monotonic()
-    triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
+    ticker = _Ticker(budget)
     m = len(h)
-    if m * len(triples) > MAX_MASK_BITS_EXACT:
+    # m x C > MAX_MASK_BITS_EXACT exactly when C > MAX_MASK_BITS_EXACT // m
+    mask_limit = MAX_MASK_BITS_EXACT // max(m, 1)
+    try:
+        triples = t_copy_triples(h, limit=min(MAX_COPIES_EXACT, mask_limit))
+    except ValueError:
+        if mask_limit >= MAX_COPIES_EXACT:
+            raise
         raise ValueError(
-            f"mask guard: {m} edges x {len(triples)} copies is more than "
+            f"mask guard: {m} edges x more than {mask_limit} copies is more than "
             f"{MAX_MASK_BITS_EXACT} bits of copy masks"
-        )
+        ) from None
     if not len(triples):
         return SolveResult(
             value=m,
             witness=EdgeSet(h, frozenset(range(m))),
             optimal=True,
-            stats=SearchStats(nodes=0, elapsed=time.monotonic() - t0, budget_hit=False),
+            stats=SearchStats(nodes=0, elapsed=ticker.elapsed(), budget_hit=False),
         )
     incumbent = _tfree_incumbent(h, triples, 0x5EED, 1, 3)
     best = {"value": len(incumbent), "keep": incumbent}
@@ -497,7 +505,6 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     cm = _edge_copy_masks(m, triples)
     participation = [c.bit_count() for c in cm]
     status = [UNDEC] * m
-    ticker = _Ticker(budget)
 
     def search(live: int, k1: int, ndel: int) -> None:
         ticker.tick()

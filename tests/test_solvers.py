@@ -111,6 +111,30 @@ class TestTfreeExact:
         assert res.stats.budget_hit and not res.optimal
         assert res.stats.nodes == 3
 
+    def test_time_budget_charges_the_copy_scan(self, monkeypatch):
+        # a clock that only the copy scan advances, past the budget: the
+        # search stops at its first node, and its elapsed time holds the scan
+        import types
+
+        import mantelab.solvers
+
+        now = [0.0]
+        monkeypatch.setattr(
+            mantelab.solvers, "time", types.SimpleNamespace(monotonic=lambda: now[0])
+        )
+        scan = mantelab.solvers.t_copy_triples
+
+        def slow_scan(h, limit=None):
+            now[0] += 10.0
+            return scan(h, limit=limit)
+
+        monkeypatch.setattr(mantelab.solvers, "t_copy_triples", slow_scan)
+        res = max_tfree_exact(_golden_host("gknp-9-0.4-0"), Budget(max_seconds=5.0))
+        assert res.stats.budget_hit and not res.optimal
+        assert res.stats.nodes == 1
+        assert res.stats.elapsed >= 10.0
+        assert count_T(res.witness.as_hypergraph()) == 0
+
     def test_pattern_needs_one_deletion(self):
         res = max_tfree_exact(generalized_triangle(4))
         assert res.value == 2 and res.optimal
@@ -241,6 +265,35 @@ class TestTfreeExactGolden:
         assert res.optimal is optimal
         assert res.stats.nodes == nodes
         assert res.stats.budget_hit is (not optimal)
+
+    @pytest.mark.parametrize("name", ["gknp-9-0.3-0", "gknp-9-0.3-1", "gknp-9-0.3-2"])
+    def test_certified_value_matches_milp(self, monkeypatch, name):
+        # an independent oracle past the brute force's reach: maximise the
+        # kept edges subject to x_a + x_b + x_c <= 2 for every copy.  The
+        # incumbent is already optimal on these hosts, so the search also
+        # runs from an empty incumbent, where an unsound bound prunes the
+        # optimum away
+        optimize = pytest.importorskip("scipy.optimize")
+        import mantelab.solvers
+        from mantelab.motifs import t_copy_triples
+
+        h = _golden_host(name)
+        rows = t_copy_triples(h)
+        a = np.zeros((len(rows), len(h)))
+        a[np.arange(len(rows))[:, None], rows] = 1
+        milp = optimize.milp(
+            -np.ones(len(h)),
+            constraints=optimize.LinearConstraint(a, -np.inf, 2),
+            integrality=np.ones(len(h)),
+            bounds=optimize.Bounds(0, 1),
+            options={"mip_rel_gap": 0},
+        )
+        assert milp.success
+        res = max_tfree_exact(h)
+        assert res.optimal and res.value == round(-milp.fun)
+        monkeypatch.setattr(mantelab.solvers, "_tfree_incumbent", lambda *args: [])
+        res = max_tfree_exact(h)
+        assert res.optimal and res.value == round(-milp.fun)
 
     def test_complete_eleven_stays_small(self):
         # 69,300 copies: a per-copy conflict mask would need ~600 MB here,
