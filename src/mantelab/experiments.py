@@ -74,7 +74,7 @@ EXIT_CLEAN, EXIT_FAILED, EXIT_PARTIAL = 0, 1, 2
 EXACT_TIER_MAX_N = 12
 EXACT_TIER_MAX_N_AUDIT = 14  # certified-q audits stretch two vertices further
 HEURISTIC_TIER_MAX_N = 200
-TURAN_DEFAULT_CAPS = {2: 12, 3: 9, 4: 8}
+TURAN_DEFAULT_CAPS = {2: 12, 3: 9, 4: 9}
 
 
 class ConfigError(ValueError):

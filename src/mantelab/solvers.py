@@ -129,22 +129,24 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     class they miss.  The gain of moving v to class c is the number of such
     (edge, position) cases for (v, c) minus the crossing edges through v,
     which is 0 for v's own class.  Returns (value, assignment, moves).
+
+    All positions are scored in one pass: ``other[:, d]`` is the sum of the
+    class bits at the other k - 1 positions.  A sum of k - 1 powers of two
+    has k - 1 set bits exactly when they are distinct (a repeat carries), and
+    then it is their union, so the missing class is the index of the bit
+    ``full ^ other``.
     """
     e, n, k = h.edge_array, h.n, h.k
     full = (1 << k) - 1
-    others = [[c for c in range(k) if c != d] for d in range(k)]
     a = np.array(assignment, dtype=np.int64)
     moves = 0
     while True:
         bits = 1 << a[e]
         cross = _crossing_mask(h, a, bits)
-        hits = []
-        for d in range(k):
-            other = np.bitwise_or.reduce(bits[:, others[d]], axis=1)
-            free = np.bitwise_count(other) == k - 1
-            # the missing class of a free edge is the index of the bit full ^ other
-            hits.append(e[free, d] * k + np.bitwise_count((full ^ other[free]) - 1))
-        gain = np.bincount(np.concatenate(hits), minlength=n * k).reshape(n, k)
+        other = bits.sum(axis=1, keepdims=True) - bits
+        free = np.bitwise_count(other) == k - 1
+        hits = e[free] * k + np.bitwise_count((full ^ other[free]) - 1)
+        gain = np.bincount(hits, minlength=n * k).reshape(n, k)
         gain -= np.bincount(e[cross].reshape(-1), minlength=n)[:, None]
         # own classes read 0, so a positive maximum is a move; argmax takes the
         # lowest (vertex, class) among ties
@@ -207,17 +209,18 @@ def _max_class_product(sizes: tuple[int, ...], r: int) -> int:
     return math.prod(filled)
 
 
-def max_cut4_exact(
-    h: Hypergraph, budget: Budget | None = None, use_symmetry: bool = True
-) -> SolveResult:
-    """Branch-and-bound maximum 4-partite cut with class-symmetry breaking.
+def _cut4_search(
+    h: Hypergraph, ticker: _Ticker, value: int, assign: tuple[int, ...], use_symmetry: bool,
+) -> tuple[int, tuple[int, ...], bool]:
+    """Branch-and-bound for a 4-class assignment with more than ``value`` crossing edges.
 
-    Vertices are assigned in descending-degree order (ties by index); with
-    symmetry breaking, the first vertex is fixed to class 0 and a new class
-    label may be opened only in order, which is valid for any fixed vertex
-    order.  The incumbent is seeded from a short local search, and the search
-    itself is deterministic, so value, flag, and witness are reproducible run
-    to run.
+    Starts from the incumbent (``value``, ``assign``) and returns the best
+    (value, assignment) found with the budget flag; the incumbent comes back
+    unchanged when nothing beats it.  Vertices are assigned in
+    descending-degree order (ties by index); with symmetry breaking, the first
+    vertex is fixed to class 0 and a new class label may be opened only in
+    order, which is valid for any fixed vertex order.  The search stops as
+    soon as every edge crosses.
 
     The state is Python-int bitsets over edge ids, passed down the recursion
     (no undo step).  ``ve[v]`` holds the edges through v; a node carries
@@ -228,7 +231,9 @@ def max_cut4_exact(
     its free vertex u for the one missing class if three are, and as loose if
     at most two are.  A free vertex takes one class, so it meets the demand
     of one class at most: the bound is crossing + loose + the sum over free
-    vertices of their largest per-class demand.
+    vertices of their largest per-class demand.  The open edges that class c
+    can still complete, ``open3 & ~s[c]``, are built once per node, so a free
+    vertex costs four popcounts.
 
     A second bound counts 4-sets.  With ``sizes[c]`` vertices in class c and
     r free, a completion with r_c more in class c has prod(sizes[c] + r_c)
@@ -236,18 +241,15 @@ def max_cut4_exact(
     hold ``cross`` crossing edges.  So at most ``cross`` + slack edges cross,
     where slack = max over splits of r of prod(sizes[c] + r_c) - prod(sizes).
     The slack depends on ``sizes`` alone and is memoised per call.  A node
-    is pruned when either bound is at most the incumbent; the complete host
-    closes at the root.
+    is pruned when either bound is at most the incumbent.
     """
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     n, m = h.n, len(h)
-    ticker = _Ticker(budget)
     order = sorted(range(n), key=lambda v: (-len(h.vertex_edges[v]), v))
     ve = [sum(1 << i for i in h.vertex_edges[v]) for v in range(n)]
-    seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
-    best = {"value": seed_value, "assign": seed_assign}
-    assign = [-1] * n
+    best = {"value": value, "assign": assign}
+    cur = [-1] * n
     slack: dict[tuple[int, ...], int] = {}
 
     def dfs(
@@ -264,21 +266,26 @@ def max_cut4_exact(
             return
         bound = cross + m - (a3 | dead).bit_count()
         open3 = a3 & ~(a4 | dead)
-        for u in order[pos:]:
-            owed = ve[u] & open3
-            if owed:
-                bound += max((owed & ~sc).bit_count() for sc in s)
+        if open3:
+            n0, n1, n2, n3 = (open3 & ~sc for sc in s)
+            for u in order[pos:]:
+                eu = ve[u]
+                if eu & open3:
+                    bound += max(
+                        (eu & n0).bit_count(), (eu & n1).bit_count(),
+                        (eu & n2).bit_count(), (eu & n3).bit_count(),
+                    )
         if bound <= best["value"]:
             return
         if pos == n:  # every edge is assigned, so the bound is the crossing count
             best["value"] = cross
-            best["assign"] = tuple(assign)
+            best["assign"] = tuple(cur)
             return
         v = order[pos]
         e = ve[v]
         limit = min(used + 1, 4) if use_symmetry else 4
         for c in range(limit):
-            assign[v] = c
+            cur[v] = c
             sc = s[c]
             dfs(
                 pos + 1,
@@ -299,10 +306,28 @@ def max_cut4_exact(
         budget_hit = False
     except _BudgetExceeded:
         budget_hit = True
+    return best["value"], best["assign"], budget_hit
+
+
+def max_cut4_exact(
+    h: Hypergraph, budget: Budget | None = None, use_symmetry: bool = True
+) -> SolveResult:
+    """Branch-and-bound maximum 4-partite cut with class-symmetry breaking.
+
+    The incumbent is seeded from a short local search, then
+    :func:`_cut4_search` (vertex order, symmetry rule, demand and class-size
+    product bounds) proves it or improves on it.  The search is
+    deterministic, so value, flag, and witness are reproducible run to run.
+    A budget is charged from entry, so the local seed counts against it.  The
+    complete host closes at the root.
+    """
+    ticker = _Ticker(budget)
+    seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
+    value, assign, budget_hit = _cut4_search(h, ticker, seed_value, seed_assign, use_symmetry)
     return SolveResult(
-        value=best["value"],
-        witness=VertexPartition(4, tuple(best["assign"])),
-        optimal=not budget_hit or best["value"] == m,
+        value=value,
+        witness=VertexPartition(4, assign),
+        optimal=not budget_hit or value == len(h),
         stats=SearchStats(nodes=ticker.nodes, elapsed=ticker.elapsed(), budget_hit=budget_hit),
     )
 
@@ -325,11 +350,20 @@ def best_partition_for(
 
 
 def is_4partite(f: Hypergraph, budget: Budget | None = None) -> bool | None:
-    """True/False when the exact cut certifies; None when the budget exhausts."""
-    res = max_cut4_exact(f, budget)
-    if not res.optimal:
-        return None
-    return res.value == len(f)
+    """Is every edge of f crossing for some 4-class partition?
+
+    A feasibility search: :func:`_cut4_search` starts at the incumbent
+    ``len(f) - 1`` with no local-cut seed, so it prunes every node whose
+    bound is below ``len(f)`` and stops at the first all-crossing
+    assignment.  A host with more edges than the largest class-size product
+    (crossing 4-sets) is refuted at the root.  True/False when the search
+    decides; None when the budget exhausts first.
+    """
+    m = len(f)
+    value, _, budget_hit = _cut4_search(f, _Ticker(budget), m - 1, (), True)
+    if value == m:
+        return True
+    return None if budget_hit else False
 
 
 # ---------------------------------------------------------------------------

@@ -523,10 +523,17 @@ class TestTuranTable:
         assert int(r["ex_value"]) == 35 and int(r["turan_edges"]) == 16
         assert r["equality"] == "false"
 
-    def test_cap_exceeded_fails(self, tmp_path):
-        doc = base_doc(tmp_path, kind="turan-table", k=4, n=[9], p={"absolute": [1.0]})
+    def test_cap_exceeded_fails(self, tmp_path, monkeypatch):
+        # the default k = 4 cap is 9 (K⁴₉ certifies in seconds); n = 10 is
+        # refused before any host is solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a capped host was solved")
+
+        monkeypatch.setattr(mantelab.experiments, "max_tfree_exact", no_solve)
+        doc = base_doc(tmp_path, kind="turan-table", k=4, n=[10], p={"absolute": [1.0]})
         out = run_turan_table(config_from_dict(doc))
         assert out.status == EXIT_FAILED
+        assert "n=[10] above the exact cap 9 for k=4" in out.message
 
 
 class TestCli:

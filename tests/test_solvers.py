@@ -731,10 +731,32 @@ class TestIs4Partite:
         assert is_4partite(empty_hypergraph(5, 4)) is True
 
     def test_budget_exhaustion_is_indeterminate(self):
-        # not 4-partite (the cut certifies 28 of its 112 edges), but the root
-        # cannot close, so two nodes decide nothing
+        # not 4-partite, but its 3 edges fit the crossing 4-sets of 7
+        # vertices, so the root cannot refute it and two nodes decide nothing
+        assert is_4partite(generalized_triangle(4), Budget(max_nodes=2)) is None
+
+    def test_more_edges_than_crossing_sets_refuted_at_root(self):
+        # 112 edges against t_4(10) = 36 crossing 4-sets: the class-size
+        # product bound closes the root, so one node decides
         h = _golden_host("gknp-10-0.5-0")
-        assert is_4partite(h, Budget(max_nodes=2)) is None
+        assert is_4partite(h, Budget(max_nodes=1)) is False
+
+    def test_agrees_with_exact_cut(self, rng):
+        # the feasibility search against "the certified cut crosses every edge"
+        hosts = []
+        for i in range(12):
+            n = rng.randint(6, 9)
+            h = random_hypergraph(rng, n, 4, p=rng.uniform(0.4, 0.9))
+            # the crossing set of a partition is 4-partite by construction
+            part = random_vertex_partition(rng, n, 4)
+            hosts.append(crossing_edges(h, part).as_hypergraph())
+            # a star: every edge through one vertex
+            hosts.append(build_hypergraph(n, 4, [e for e in h.edges if i % n in e]))
+            # a sparse host, mostly not 4-partite once it holds a few edges
+            hosts.append(random_hypergraph(rng, n, 4, m=rng.randint(3, 8)))
+        decided = [is_4partite(f) for f in hosts]
+        assert decided == [max_cut4_exact(f).value == len(f) for f in hosts]
+        assert decided.count(True) >= 12 and decided.count(False) >= 6
 
 
 class TestCrossingFeasibility:
