@@ -37,6 +37,8 @@ def generalized_triangle(k: int) -> Hypergraph:
 
 # Raw copy rows held per block, unless one core pair alone has more.
 _BLOCK_ROWS = 1 << 15
+# The most edges whose copy keys (i * m + j) * m + l, at most m**3 - 1, fit int64.
+_PACKED_EDGES = 1 << 21
 
 
 def _copy_blocks(h: Hypergraph) -> Iterator[np.ndarray]:
@@ -118,16 +120,48 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
     """All copies as a (C, 3) int64 array of ascending edge-id rows in lex order.
 
     Raises ValueError at the first block of copies that takes the count past
-    ``limit``; at that point at most ``limit`` copies plus one block are held.
+    ``limit``; at that point at most ``limit`` copies plus one block are held,
+    in a buffer of at most twice that many.
+
+    With m edges, a row (i, j, l) is held as the key (i * m + j) * m + l,
+    whose order is the rows' lex order; the keys are sorted in place and
+    unpacked into the result, so the scan holds one int64 per copy and the
+    result three, with no sort permutation or gathered copy.  Above
+    ``_PACKED_EDGES`` edges a key would overflow int64, and the rows are
+    held and lex-sorted as they are.  Blocks are written into one buffer
+    that doubles when full, not kept as a list of block arrays: block-sized
+    arrays that live through the scan would interleave with the scan's
+    per-block temporaries in the allocator's heap, and how far that heap
+    then grows varies from process to process.
     """
-    held = [np.empty((0, 3), dtype=np.int64)]
+    m = len(h)
+    packed = m <= _PACKED_EDGES
+    buf = np.empty((0,) if packed else (0, 3), dtype=np.int64)
     total = 0
     for rows in _copy_blocks(h):
         rows.sort(axis=1)
-        held.append(rows)
-        total += len(rows)
+        end = total + len(rows)
+        if end > len(buf):
+            grown = np.empty((max(end, 2 * len(buf)),) + buf.shape[1:], dtype=np.int64)
+            grown[:total] = buf[:total]
+            buf = grown
+        if packed:
+            key = buf[total:end]
+            np.multiply(rows[:, 0], m, out=key)
+            key += rows[:, 1]
+            key *= m
+            key += rows[:, 2]
+        else:
+            buf[total:end] = rows
+        total = end
         if limit is not None and total > limit:
             raise ValueError(f"copy guard: more than {limit} generalized-triangle copies")
-    rows = np.concatenate(held)
-    del held
-    return rows[np.lexsort(rows.T[::-1])]
+    keys = buf[:total]
+    if not packed:
+        return keys[np.lexsort(keys.T[::-1])]
+    keys.sort()
+    rows = np.empty((total, 3), dtype=np.int64)
+    np.floor_divide(keys, m * m, out=rows[:, 0])
+    keys %= m * m
+    np.divmod(keys, m, out=(rows[:, 1], rows[:, 2]))
+    return rows

@@ -147,6 +147,21 @@ class TestCount:
             assert trips.tolist() == naive
         assert t_copy_triples(turan_hypergraph(8, 4)).shape == (0, 3)
 
+    @pytest.mark.parametrize("packed_edges", [1 << 21, 2])
+    def test_copy_triples_same_over_blocks_and_packing(self, monkeypatch, rng, packed_edges):
+        # one copy per block grows the buffer many times; above _PACKED_EDGES
+        # edges the rows are lex-sorted unpacked
+        import mantelab.motifs
+
+        hosts = [random_hypergraph(rng, 9, k, p=0.6) for k in (2, 3, 4)]
+        whole = [t_copy_triples(h) for h in hosts]
+        monkeypatch.setattr(mantelab.motifs, "_PACKED_EDGES", packed_edges)
+        monkeypatch.setattr(mantelab.motifs, "_BLOCK_ROWS", 1)
+        for h, want in zip(hosts, whole):
+            got = t_copy_triples(h)
+            assert len(want) > 0 and got.dtype == np.int64
+            assert np.array_equal(got, want)
+
     def test_cores_apart_in_wide_vertex_range(self):
         # (0, 1, 2) and c have equal base-n keys c0 * n^2 + c1 * n + c2 modulo
         # 2^64, so cores must be told apart by their vertices
