@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -154,6 +154,9 @@ class TestCount:
         import mantelab.motifs
 
         hosts = [random_hypergraph(rng, 9, k, p=0.6) for k in (2, 3, 4)]
+        # about 76k copies, which take several blocks at the default _BLOCK_ROWS
+        hosts.append(random_hypergraph(rng, 14, 4, p=0.5))
+        assert sum(1 for _ in mantelab.motifs._copy_blocks(hosts[-1])) > 1
         whole = [t_copy_triples(h) for h in hosts]
         monkeypatch.setattr(mantelab.motifs, "_PACKED_EDGES", packed_edges)
         monkeypatch.setattr(mantelab.motifs, "_BLOCK_ROWS", 1)
@@ -161,6 +164,19 @@ class TestCount:
             got = t_copy_triples(h)
             assert len(want) > 0 and got.dtype == np.int64
             assert np.array_equal(got, want)
+
+    def test_sort_rows_network(self):
+        from mantelab.motifs import _sort_rows
+
+        rows = np.array(list(permutations((3, 7, 11))), dtype=np.int64)
+        _sort_rows(rows)
+        assert rows.tolist() == [[3, 7, 11]] * 6
+        gen = np.random.default_rng(7)
+        for high in (4, 1 << 40):
+            rows = gen.integers(0, high, size=(2000, 3))
+            want = np.sort(rows, axis=1)
+            _sort_rows(rows)
+            assert np.array_equal(rows, want)
 
     def test_cores_apart_in_wide_vertex_range(self):
         # (0, 1, 2) and c have equal base-n keys c0 * n^2 + c1 * n + c2 modulo

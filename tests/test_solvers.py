@@ -502,17 +502,28 @@ class TestArrayKernels:
         from mantelab.motifs import t_copy_triples
         from mantelab.solvers import _greedy_tfree
 
-        for i in range(12):
-            k = (2, 3, 4)[i % 3]
-            h = random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.3, 0.8))
+        hosts = [
+            random_hypergraph(rng, rng.randint(k + 3, 10), k, p=rng.uniform(0.3, 0.8))
+            for k in (2, 3, 4) * 4
+        ]
+        # no edges, no copies, one copy, and many tied picks
+        hosts += [
+            empty_hypergraph(6, 4),
+            turan_hypergraph(9, 4),
+            generalized_triangle(4),
+            complete_hypergraph(8, 4),
+        ]
+        for i, h in enumerate(hosts):
             trips, m = t_copy_triples(h), len(h.edges)
             first = loop_greedy_tfree(m, trips.tolist(), None)
             assert _greedy_tfree(trips, m) == first
-            ref_rng, got_rng = random.Random(i), random.Random(i)
-            runs = [first] + [loop_greedy_tfree(m, trips.tolist(), ref_rng) for _ in range(3)]
-            # the earliest of the longest runs, after the same draws
-            assert _greedy_tfree(trips, m, got_rng, 4) == max(runs, key=len)
-            assert got_rng.getstate() == ref_rng.getstate()
+            for runs in (1, 4):
+                ref_rng, got_rng = random.Random(i), random.Random(i)
+                loops = [first]
+                loops += [loop_greedy_tfree(m, trips.tolist(), ref_rng) for _ in range(runs - 1)]
+                # the earliest of the longest runs, after the same draws
+                assert _greedy_tfree(trips, m, got_rng, runs) == max(loops, key=len)
+                assert got_rng.getstate() == ref_rng.getstate()
 
     def test_tfree_incumbent_tie_rule(self, rng):
         # greedy keeps ties: the crossing set wins only when strictly larger,
