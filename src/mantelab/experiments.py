@@ -9,8 +9,8 @@ determinism contract); stage timings are otherwise dropped.
 Phase sweeps, concentration studies and audits share one trial pipeline,
 ``_run_trials``: it plans the trials (cells, tier caps, and the global seed
 indices that capped cells still use up), samples each host and times it,
-turns a ``ValueError`` into a ``skip`` row, runs the trials one after another,
-assembles trial, skip and summary rows, and writes the CSV (and, for audits,
+turns a ``ValueError`` into a ``skip`` row, runs the trials one after another
+with the cyclic garbage collector paused, assembles trial, skip and summary rows, and writes the CSV (and, for audits,
 the JSON).  A ``_TrialKind`` supplies the rest as data: the kind's
 columns, its per-trial stages and its cell summary.
 
@@ -22,6 +22,7 @@ failed.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -330,6 +331,15 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
     Trial ``t`` of the ``c``-th (n, p) cell derives its seed from global
     index ``c * trials + t``, so a capped cell still uses up its indices.  A
     ``ValueError`` from a trial's stages turns the trial into a ``skip`` row.
+
+    Each trial runs with the cyclic garbage collector paused.  An n=64,
+    p=0.5 host is about 318k edge tuples, each a tracked container, and
+    building one set off about 415 young and 38 middle collections that
+    walked them, a third of the sampling time.  Reference counting frees
+    the host when the trial returns, so the collector, if it was enabled,
+    is enabled again and collects the young generation, which holds every
+    object the trial allocated: that reclaims the trial's cyclic garbage
+    and walks no freed tuple.  The prior state is restored on error too.
     """
     items = []
     skipped_cells = []
@@ -368,7 +378,16 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
         times = [_fmt(b - a) for a, b in zip(laps, laps[1:])] if cfg.emit_timings else []
         return n, p, row + cells + times, payload
 
-    results = [one(item) for item in items]
+    results = []
+    for item in items:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            results.append(one(item))
+        finally:
+            if enabled:
+                gc.enable()
+                gc.collect(0)
     rows = [row for _, _, row, _ in results]
     rows += [skip_row(n, p, "", reason) for n, p, reason in skipped_cells]
     payloads = [payload for _, _, _, payload in results if payload is not None]

@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     while True:
         bits = 1 << a[e]
         cross = _crossing_mask(h, a, bits)
-        other = bits.sum(axis=1, keepdims=True) - bits
+        other = reduce(np.add, bits.T)[:, None] - bits
         free = np.bitwise_count(other) == k - 1
         hits = e[free] * k + np.bitwise_count((full ^ other[free]) - 1)
         gain = np.bincount(hits, minlength=n * k).reshape(n, k)
@@ -306,6 +307,7 @@ def _cut4_search(
         budget_hit = False
     except _BudgetExceeded:
         budget_hit = True
+    del dfs  # dfs holds its own cell: break the cycle so its state is freed now
     return best["value"], best["assign"], budget_hit
 
 
@@ -617,6 +619,7 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
         budget_hit = False
     except _BudgetExceeded:
         budget_hit = True
+    del search  # as in _cut4_search: free the masks and triples at return
     return SolveResult(
         value=best["value"],
         witness=EdgeSet(h, frozenset(best["keep"])),

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mantelab
+import mantelab.experiments
 from mantelab.cli import main as cli_main
 from mantelab.experiments import (
     ConfigError,
@@ -416,6 +418,69 @@ class TestConcentrationRun:
             ln for ln in blob.split(b"\n") if not ln.startswith(b"# config=")
         )
         assert strip(open(a.files[0], "rb").read()) == strip(open(b.files[0], "rb").read())
+
+
+class TestGcPause:
+    """Trials run with the cyclic collector paused, and the pipeline leaves
+    its state as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def run(self, tmp_path):
+        doc = base_doc(
+            tmp_path, kind="concentration", n=[12], p={"absolute": [0.6]}, trials=2
+        )
+        return run_concentration(config_from_dict(doc))
+
+    def test_enabled_collector_paused_per_trial(self, tmp_path, monkeypatch):
+        sample = mantelab.experiments.sample_gknp
+        during = []
+
+        def watched(*args):
+            during.append(gc.isenabled())
+            return sample(*args)
+
+        monkeypatch.setattr(mantelab.experiments, "sample_gknp", watched)
+        gc.enable()
+        assert self.run(tmp_path).status == EXIT_CLEAN
+        assert during == [False, False]
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_off_uncollected(self, tmp_path):
+        seen = []
+
+        def note(phase, info):
+            seen.append((phase, info["generation"]))
+
+        gc.disable()
+        gc.callbacks.append(note)
+        try:
+            assert self.run(tmp_path).status == EXIT_CLEAN
+        finally:
+            gc.callbacks.remove(note)
+        assert not gc.isenabled()
+        assert seen == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_error_restores_state(self, tmp_path, monkeypatch, enabled):
+        def broken(*args):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(mantelab.experiments, "sample_gknp", broken)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        with pytest.raises(RuntimeError, match="sampler broke"):
+            self.run(tmp_path)
+        assert gc.isenabled() == enabled
 
 
 class TestAuditRun:

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import random
 import sys
+import types
 from itertools import product
 
 import numpy as np
@@ -668,6 +670,39 @@ class TestRecursionRoom:
         assert (got.value, got.optimal, got.stats.nodes) == (
             want.value, want.optimal, want.stats.nodes,
         )
+
+
+class TestSearchStateFreed:
+    """Each recursive search closure holds its own cell, a reference cycle
+    that would keep its masks and copy lists until a cyclic collection; the
+    solvers break it at return, so nothing waits for the collector."""
+
+    CLOSURES = {"_cut4_search.<locals>.dfs", "max_tfree_exact.<locals>.search"}
+
+    def test_no_search_closure_outlives_its_call(self):
+        host = sample_gknp(9, 4, 0.4, derive_seed(1, 0))
+        sparse = sample_gknp(40, 4, 0.005, derive_seed(3, 0))
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            results = [
+                max_cut4_exact(host),
+                max_cut4_exact(sparse, Budget(max_nodes=300)),
+                max_tfree_exact(host),
+                max_tfree_exact(complete_hypergraph(8, 4), Budget(max_nodes=500)),
+            ]
+            four = is_4partite(host)
+            left = [
+                f.__qualname__ for f in gc.get_objects()
+                if isinstance(f, types.FunctionType) and f.__qualname__ in self.CLOSURES
+            ]
+        finally:
+            if enabled:
+                gc.enable()
+        assert [r.stats.budget_hit for r in results] == [False, True, False, True]
+        assert four is not None and results[2].stats.nodes > 0
+        assert left == []
 
 
 class TestCut4Local:
