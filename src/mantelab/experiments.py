@@ -10,9 +10,10 @@ Phase sweeps, concentration studies and audits share one trial pipeline,
 ``_run_trials``: it plans the trials (cells, tier caps, and the global seed
 indices that capped cells still use up), samples each host and times it,
 turns a ``ValueError`` into a ``skip`` row, runs the trials one after another
-with the cyclic garbage collector paused, assembles trial, skip and summary rows, and writes the CSV (and, for audits,
-the JSON).  A ``_TrialKind`` supplies the rest as data: the kind's
-columns, its per-trial stages and its cell summary.
+with the cyclic garbage collector paused, assembles trial, skip and summary
+rows, and writes the CSV (and, for audits, the JSON).  A ``_TrialKind``
+supplies the rest as data: the kind's columns, its per-trial stages and its
+cell summary.
 
 Every CSV starts with a ``#``-prefixed header block carrying the schema
 version, a single-line build label, the config echoed as canonical JSON, and

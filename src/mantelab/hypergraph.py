@@ -255,7 +255,7 @@ def _crossing_mask(
     This is the one crossing test.  With r == k classes, "meets every class"
     is "all classes distinct".  A caller that already holds the class bits
     ``1 << assignment[edge_array]`` may pass them as ``bits``.  The k
-    columns are folded one by one (``bits.T``): over k <= 4 columns that is
+    columns are folded one by one (``bits.T``): over so short an axis that is
     about four times faster than ``np.bitwise_or.reduce(bits, axis=1)``.
     """
     if bits is None:

@@ -215,11 +215,15 @@ class TestCrossingOracle:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_naive_crossing_ids(self, rng, k):
-        for _ in range(20):
-            h = random_hypergraph(rng, rng.randint(k + 1, 9), k, p=0.5)
+        hosts = [empty_hypergraph(k + 2, k)]
+        hosts += [random_hypergraph(rng, rng.randint(k + 1, 9), k, p=0.5) for _ in range(20)]
+        for h in hosts:
             # uniform labels, so some partitions leave a class empty
             part = VertexPartition(k, tuple(rng.randrange(k) for _ in range(h.n)))
             ids = naive_crossing_ids(h, part)
+            mask = _crossing_mask(h, part.assignment)
+            assert mask.dtype == np.bool_ and mask.shape == (len(h),)
+            assert set(np.flatnonzero(mask).tolist()) == ids
             assert crossing_edges(h, part).indices == ids
             cross = {h.edges[i] for i in ids}
             assert _crossing_degrees(h, part.assignment).tolist() == [
@@ -236,19 +240,6 @@ class TestCrossingOracle:
                 assert common_degree(h, u, v) == sum(
                     a in h.edge_set and b in h.edge_set for a, b in both
                 )
-
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_mask_matches_naive_crossing_ids(self, rng, k):
-        hosts = [empty_hypergraph(k + 2, k)]
-        hosts += [random_hypergraph(rng, rng.randint(k + 1, 9), k, p=0.5) for _ in range(20)]
-        for h in hosts:
-            part = VertexPartition(k, tuple(rng.randrange(k) for _ in range(h.n)))
-            mask = _crossing_mask(h, part.assignment)
-            assert mask.dtype == np.bool_ and mask.shape == (len(h),)
-            assert set(np.flatnonzero(mask).tolist()) == naive_crossing_ids(h, part)
-            bits = 1 << np.array(part.assignment, dtype=np.int64)[h.edge_array]
-            assert np.array_equal(_crossing_mask(h, part.assignment, bits), mask)
 
 
 class TestEdgeSet:
