@@ -215,7 +215,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
         if limit is not None and not limit >= 0:
             raise ConfigError(f"budget.{name} must be >= 0, got {limit}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind,
         n_values=n_values,
         k=k,
@@ -234,6 +234,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         turan_cap=_shaped(doc.get("cap"), "integer or null", "cap"),
         echo=json.dumps(doc, sort_keys=True, separators=(",", ":")),
     )
+    turan = kind == "turan-table"
+    cells = n_values if turan else [(n, p) for n in n_values for p in cfg.p_grid(n)]
+    for i, cell in enumerate(cells):
+        if cell in cells[:i]:  # it would run twice and be summarised as one
+            raise ConfigError(f"grid repeats {'n' if turan else '(n, p)'} = {cell}")
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

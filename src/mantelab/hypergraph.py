@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -170,8 +170,11 @@ class VertexPartition:
 
 
 def _from_rows(n: int, k: int, rows: np.ndarray) -> Hypergraph:
-    """Hypergraph of distinct ascending int64 rows in lex order; the rows become its edge_array."""
-    g = Hypergraph(n, k, tuple(zip(*rows.T.tolist())))
+    """Hypergraph of distinct ascending int64 rows in lex order; the rows become its edge_array.
+
+    The tuples are built 2^14 rows at a time, so only one block's column lists are held."""
+    blocks = (zip(*rows[i:i + (1 << 14)].T.tolist()) for i in range(0, len(rows), 1 << 14))
+    g = Hypergraph(n, k, tuple(chain.from_iterable(blocks)))
     rows.setflags(write=False)
     g.__dict__["edge_array"] = rows
     return g

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +27,6 @@ from .hypergraph import (
     _check_partition,
     _crossing_mask,
     crossing_edges,
-    shadow_graph,
 )
 from .motifs import find_T
 
@@ -384,9 +382,10 @@ class DecompositionReport:
         }
 
 
-def _defect_ids(f: Hypergraph, cls: frozenset[int]) -> frozenset[int]:
-    """Ids of the edges of f with at least two vertices in the class."""
-    return frozenset(j for j, e in enumerate(f.edges) if sum(1 for v in e if v in cls) >= 2)
+def _defect_table(f: Hypergraph, assignment) -> np.ndarray:
+    """(4, m) bool: row i marks the edges of f with at least two vertices in class i."""
+    cls = np.asarray(assignment, dtype=np.int64)[f.edge_array]
+    return (cls == np.arange(4)[:, None, None]).sum(axis=2) >= 2
 
 
 def decomposition(
@@ -409,7 +408,8 @@ def decomposition(
     n = g.n
     low = low_pairs(g, part, p, float(consts.alpha)).pairs
 
-    defect = [EdgeSet(f, _defect_ids(f, part.classes[i])) for i in range(4)]
+    table = _defect_table(f, part.assignment)
+    defect = [EdgeSet(f, frozenset(np.flatnonzero(row).tolist())) for row in table]
 
     cross_g = crossing_edges(g, part)
     missing_ids = frozenset(
@@ -417,11 +417,18 @@ def decomposition(
     )
     missing = EdgeSet(g, missing_ids)
 
+    # an edge covers a first-class pair only if two of its vertices are in
+    # the first class, so the first-class shadow is that of defect[0]
     first = part.classes[0]
-    l_pairs = frozenset(
-        pr for pr in shadow_graph(f) if pr[0] in first and pr[1] in first
-    )
-    l_degree = Counter(v for pr in l_pairs for v in pr)
+    b1_ids = np.flatnonzero(table[0])
+    b1 = f.edge_array[b1_ids]
+    in_first = np.isin(b1, list(first))
+    shadow = np.zeros((n, n), dtype=bool)
+    for a, b in combinations(range(4), 2):
+        both = in_first[:, a] & in_first[:, b]
+        shadow[b1[both, a], b1[both, b]] = True  # rows ascend, so a pair (u, v) has u < v
+    l_pairs = frozenset(map(tuple, np.argwhere(shadow).tolist()))
+    l_degree = (shadow.sum(axis=0) + shadow.sum(axis=1)).tolist()
 
     heavy_threshold = consts.eps1 * n  # exact rational comparison
     heavy = frozenset(x for x in first if l_degree[x] >= heavy_threshold)
@@ -432,19 +439,11 @@ def decomposition(
     heavy_rich = frozenset(x for x in heavy if cross_deg[x] >= rich_threshold)
     heavy_poor = heavy - heavy_rich
 
-    b1 = defect[0]
-    split1, split2, split3 = set(), set(), set()
-    for j in b1.indices:
-        e = f.edges[j]
-        in_heavy = sum(1 for v in e if v in heavy)
-        in_rich = sum(1 for v in e if v in heavy_rich)
-        in_poor = sum(1 for v in e if v in heavy_poor)
-        if in_heavy <= 3 and in_rich >= 1:
-            split1.add(j)
-        elif in_heavy <= 3 and in_poor >= 1:
-            split2.add(j)
-        else:
-            split3.add(j)
+    # per defect[0] edge, its vertices in heavy_rich and in heavy_poor, whose
+    # disjoint union is heavy
+    in_rich, in_poor = (np.isin(b1, list(vs)).sum(axis=1) for vs in (heavy_rich, heavy_poor))
+    few_heavy = in_rich + in_poor <= 3
+    split = np.select([few_heavy & (in_rich >= 1), few_heavy & (in_poor >= 1)], [0, 1], 2)
 
     return DecompositionReport(
         n=n,
@@ -457,10 +456,8 @@ def decomposition(
         light=light,
         heavy_rich=heavy_rich,
         heavy_poor=heavy_poor,
-        defect_split=(
-            EdgeSet(f, frozenset(split1)),
-            EdgeSet(f, frozenset(split2)),
-            EdgeSet(f, frozenset(split3)),
+        defect_split=tuple(
+            EdgeSet(f, frozenset(b1_ids[split == i].tolist())) for i in range(3)
         ),
         constants=consts,
         degenerate_heavy_threshold=heavy_threshold < 1,
@@ -515,15 +512,10 @@ def relabel_for_largest_defect(
     f: Hypergraph, part: VertexPartition
 ) -> tuple[VertexPartition, tuple[int, int, int, int] | None]:
     """Permute class labels so class 0 carries the largest defect set."""
-    sizes = [len(_defect_ids(f, part.classes[i])) for i in range(4)]
-    order = sorted(range(4), key=lambda i: (-sizes[i], i))
+    order = np.argsort(-_defect_table(f, part.assignment).sum(axis=1), kind="stable").tolist()
     if order == [0, 1, 2, 3]:
         return part, None
-    inv = [0] * 4
-    for new, old in enumerate(order):
-        inv[old] = new
-    relabeled = VertexPartition(4, tuple(inv[c] for c in part.assignment))
-    return relabeled, tuple(order)
+    return VertexPartition(4, tuple(map(order.index, part.assignment))), tuple(order)
 
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt,
@@ -553,9 +545,7 @@ def defect_audit(
     cross_g = rep.crossing_host
     cross_f = rep.crossing_sub
     b_sizes = [len(b) for b in rep.defect]
-    union_defect = set()
-    for b in rep.defect:
-        union_defect.update(b.indices)
+    union_defect = frozenset().union(*(b.indices for b in rep.defect))
     lprime_pairs = frozenset(
         pr
         for pr in rep.shadow_first

@@ -25,7 +25,6 @@ from .hypergraph import (
     Hypergraph,
     VertexPartition,
     _crossing_mask,
-    crossing_edges,
 )
 # count_T is not called here but stays an attribute of this module, where
 # perfbench/worker.py wraps the copy scans for its traced runs.
@@ -106,7 +105,7 @@ def _recursion_room(frames: int):
     """Raise the recursion limit by ``frames`` for a search nesting that deep, then restore it.
 
     Checked on CPython 3.11, which keeps Python-to-Python calls off the C
-    stack; on 3.10 each frame also takes C stack.
+    stack.
     """
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + frames)
@@ -435,10 +434,9 @@ def _tfree_incumbent(
     """
     greedy = _greedy_tfree(triples, len(h), random.Random(seed), runs)
     _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
-    crossing = sorted(crossing_edges(h, VertexPartition(h.k, assign)).indices)
-    best = crossing if len(crossing) > len(greedy) else greedy
-    star = max(h.vertex_edges, key=len, default=())
-    return list(star) if len(star) > len(best) else best
+    crossing = np.flatnonzero(_crossing_mask(h, assign)).tolist()
+    star = list(max(h.vertex_edges, key=len, default=()))
+    return max((greedy, crossing, star), key=len)  # the first of the largest
 
 
 def max_tfree_repair(

@@ -293,6 +293,33 @@ class TestUnknownKey:
         assert not (tmp_path / "run.csv").exists()
 
 
+# grids that repeat a cell, once run twice and summarised as one: (overrides,
+# the cell the error must name); log-n multipliers count after the clamp to 1
+_REPEATED_CELLS = [
+    ({"p": {"absolute": [0.3, 0.3]}}, "(n, p) = (8, 0.3)"),
+    ({"n": [8, 10, 8]}, "(n, p) = (8, 0.5)"),
+    ({"n": [5], "p": {"logn_multipliers": [4.0, 5.0]}}, "(n, p) = (5, 1.0)"),
+    ({"p": {"absolute": [1.0], "logn_multipliers": [5.0]}}, "(n, p) = (8, 1.0)"),
+    ({"kind": "turan-table", "k": 3, "n": [5, 6, 5]}, "n = 5"),
+]
+
+
+@pytest.mark.parametrize("overrides,cell", _REPEATED_CELLS, ids=[r[1] for r in _REPEATED_CELLS])
+class TestRepeatedCell:
+    def test_config_error(self, tmp_path, overrides, cell):
+        with pytest.raises(ConfigError, match=f"^grid repeats {re.escape(cell)}$"):
+            config_from_dict(base_doc(tmp_path, **overrides))
+
+    def test_cli_error_line(self, tmp_path, capsys, overrides, cell):
+        doc = base_doc(tmp_path, **overrides)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        command = "turan-table" if doc["kind"] == "turan-table" else "phase"
+        assert cli_main([command, "--config", str(cfg)]) == EXIT_FAILED
+        assert capsys.readouterr().err == f"error: grid repeats {cell}\n"
+        assert not (tmp_path / "run.csv").exists()
+
+
 class TestPhaseSweep:
     def test_complete_host_every_trial_identical(self, tmp_path):
         cfg = config_from_dict(base_doc(tmp_path, p={"absolute": [1.0]}, trials=3))

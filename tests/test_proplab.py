@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -337,6 +337,7 @@ class TestDecomposition:
         consts = AuditConstants().with_overrides(
             eps1=Fraction(1, 5), eps2=Fraction(1, 50)
         )
+        rules_seen = set()
         for i in range(10):
             n = rng.randint(8, 13)
             g = sample_gknp(n, 4, 0.6, derive_seed(64, i))
@@ -370,6 +371,44 @@ class TestDecomposition:
                 if sum(1 for e in cross_f.edges if x in e) >= rich_t
             }
             assert rep.heavy_rich == naive_rich
+            # the shadow and the split against naive scans, also where the
+            # dense, balanced hosts above do not reach: every fifth edge of f
+            # leaves first-class pairs out of the shadow, a first class of 6
+            # puts four heavy vertices in some edges, and at eps2 = 1/500
+            # some heavy vertices are rich
+            sparse = build_hypergraph(n, 4, f.edges[::5])
+            wide = unbalanced_parts(n, 6, derive_seed(65, i))
+            for h, q, eps2 in product((f, sparse), (part, wide), (consts.eps2, Fraction(1, 500))):
+                c = consts.with_overrides(eps2=eps2)
+                r = decomposition(g, h, q, 0.6, c)
+                fst = q.classes[0]
+                sh = {pr for pr in shadow_graph(h) if pr[0] in fst and pr[1] in fst}
+                assert r.shadow_first == sh
+                heavy = {x for x in fst if sum(x in pr for pr in sh) >= float(c.eps1) * n}
+                rich = {
+                    x
+                    for x in heavy
+                    if sum(x in e for e in crossing_edges(h, q).edges) >= float(eps2) * 0.6 * n**3
+                }
+                assert (r.heavy, r.heavy_rich) == (heavy, rich)
+                for part_no, split in enumerate(r.defect_split, start=1):
+                    for e in split.edges:
+                        in_heavy = sum(v in heavy for v in e)
+                        in_rich = sum(v in rich for v in e)
+                        in_poor = sum(v in heavy - rich for v in e)
+                        if in_heavy <= 3 and in_rich >= 1:
+                            expected = 1
+                        elif in_heavy <= 3 and in_poor >= 1:
+                            expected = 2
+                        else:
+                            expected = 3
+                        assert part_no == expected, e
+                        rules_seen.add((expected, in_heavy == 4, in_rich >= 1))
+        # every part is reached, and edges of four heavy vertices, with and
+        # without a rich one, fall in part 3
+        assert rules_seen >= {
+            (1, False, True), (2, False, False), (3, False, False), (3, True, False), (3, True, True)
+        }
 
 
 class TestDefectAudit:

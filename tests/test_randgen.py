@@ -141,10 +141,14 @@ class TestBernoulliGenerator:
 class TestSampledArray:
     """Sampled hosts carry their edges as a read-only array in edge order."""
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-    def test_array_matches_edge_tuples(self, sampler, k, p):
-        g = sampler(k + 6, k, p, derive_seed(17, k))
+    @pytest.mark.parametrize(
+        "n, k, p",
+        [pytest.param(k + 6, k, p, id=f"{p}-{k}") for k in (2, 3, 4, 5) for p in (0.0, 0.3, 1.0)]
+        # about 18k rows: more than one block of hypergraph._from_rows
+        + [pytest.param(32, 4, 0.5, id="0.5-4-n32")],
+    )
+    def test_array_matches_edge_tuples(self, sampler, n, k, p):
+        g = sampler(n, k, p, derive_seed(17, k))
         arr = g.edge_array
         assert arr.dtype == np.int64 and arr.shape == (len(g.edges), k)
         assert np.array_equal(arr, np.asarray(g.edges, dtype=np.int64).reshape(-1, k))
