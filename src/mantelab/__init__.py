@@ -24,6 +24,7 @@ from .hypergraph import (
     shadow_graph,
     to_text,
     turan_hypergraph,
+    turan_partition,
     write_text,
 )
 from .motifs import (

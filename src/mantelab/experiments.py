@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Callable
 
-from .hypergraph import complete_hypergraph, turan_hypergraph
+from .hypergraph import complete_hypergraph, turan_partition
 # best_partition_for, decomposition and low_pair_cut_gap are not called here
 # (an audit trial cuts through _cut and takes the other two from
 # defect_audit's report) but stay attributes of this module, where
@@ -432,10 +432,16 @@ def _cut(cfg: ExperimentConfig, g, seed):
     return max_cut4_local(g, seed, cfg.restarts)
 
 
-def _tfree(cfg: ExperimentConfig, g, seed):
+def _tfree(cfg: ExperimentConfig, g, seed, q):
+    """The trial's copy-free solve, given q's partition as a candidate incumbent.
+
+    The crossing set of any 4-partition is copy-free, so the trial's
+    copy-free value is at least q, and the repair runs no local cut of its
+    own.
+    """
     if cfg.tier == "exact":
-        return max_tfree_exact(g, cfg.budget)
-    return max_tfree_repair(g, seed, cfg.restarts)
+        return max_tfree_exact(g, cfg.budget, q.witness)
+    return max_tfree_repair(g, seed, cfg.restarts, q.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +451,7 @@ def _tfree(cfg: ExperimentConfig, g, seed):
 def _phase_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     qres = _cut(cfg, g, seed)
     lap()
-    tres = _tfree(cfg, g, seed)
+    tres = _tfree(cfg, g, seed, qres)
     lap()
     fourp = is_4partite(tres.witness.as_hypergraph(), cfg.budget) if cfg.tier == "exact" else None
     lap()
@@ -524,7 +530,9 @@ def run_concentration(cfg: ExperimentConfig) -> RunOutcome:
 
 
 def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
-    tres = _tfree(cfg, g, seed)
+    qres = _cut(cfg, g, seed)
+    lap()
+    tres = _tfree(cfg, g, seed, qres)
     f = tres.witness.as_hypergraph()
     lap()
     pres = _cut(cfg, f, seed)
@@ -532,8 +540,6 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     lap()
     audit = defect_audit(g, f, part, p, cfg.constants)
     rep = audit.decomposition
-    lap()
-    qres = _cut(cfg, g, seed)
     gap = _gap_report(
         g.n, p, cfg.constants.delta, qres.value, qres.optimal,
         rep.crossing_host, len(rep.low_pair_set),
@@ -569,7 +575,7 @@ _AUDIT = _TrialKind(
              "crossing_host", "crossing_sub", "defect_1", "defect_union",
              "missing", "heavy", "heavy_rich", "heavy_poor", "low_pairs",
              "conclusion_nonstrict", "gap", "gap_interpretation"),
-    timings=("t_sample", "t_tfree", "t_partition", "t_audit", "t_gap"),
+    timings=("t_sample", "t_q", "t_tfree", "t_partition", "t_audit"),
     trial=_audit_trial,
     summary=None,
     exact_cap=EXACT_TIER_MAX_N_AUDIT,
@@ -607,8 +613,11 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
 
     def one(n: int):
         host = complete_hypergraph(n, cfg.k)
-        res = max_tfree_exact(host, cfg.budget)
-        tcount = len(turan_hypergraph(n, cfg.k))
+        # the near-equal partition's crossing set is the transversal
+        # hypergraph, whose edge count is the product of the class sizes
+        part = turan_partition(n, cfg.k)
+        res = max_tfree_exact(host, cfg.budget, part)
+        tcount = math.prod(part.class_sizes)
         # equality with the transversal count is the k-partite-optimum test
         equality = _fmt(res.value == tcount) if res.optimal else "unknown"
         return [

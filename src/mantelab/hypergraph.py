@@ -37,6 +37,7 @@ __all__ = [
     "common_degree",
     "shadow_graph",
     "turan_hypergraph",
+    "turan_partition",
     "partition_from_classes",
     "to_text",
     "from_text",
@@ -132,7 +133,9 @@ class EdgeSet:
         return tuple(self.universe.edges[i] for i in sorted(self.indices))
 
     def as_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.universe.n, self.universe.k, self.edges)
+        """The subset as a hypergraph on the host's vertices; its edge_array is the host's rows."""
+        ids = np.array(sorted(self.indices), dtype=np.intp)
+        return _from_rows(self.universe.n, self.universe.k, self.universe.edge_array.take(ids, axis=0))
 
 
 @dataclass(frozen=True)
@@ -309,20 +312,20 @@ def shadow_graph(h: Hypergraph) -> frozenset[Pair]:
     return frozenset(pairs)
 
 
-def turan_hypergraph(n: int, r: int) -> Hypergraph:
-    """Complete r-partite r-uniform hypergraph with near-equal parts.
-
-    Parts are contiguous vertex ranges of sizes ceil(n/r) then floor(n/r);
-    edges are all transversals, so the edge count is the product of part sizes.
-    """
+def turan_partition(n: int, r: int) -> VertexPartition:
+    """Near-equal r-class partition: contiguous vertex ranges of sizes ceil(n/r) then floor(n/r)."""
     if r < 2 or n < r:
         raise ValueError(f"need n >= r >= 2, got n={n}, r={r}")
     sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(range(start, start + s))
-        start += s
+    return VertexPartition(r, tuple(c for c, size in enumerate(sizes) for _ in range(size)))
+
+
+def turan_hypergraph(n: int, r: int) -> Hypergraph:
+    """Complete r-partite r-uniform hypergraph on the classes of :func:`turan_partition`.
+
+    Edges are all transversals, so the edge count is the product of part sizes.
+    """
+    parts = [sorted(c) for c in turan_partition(n, r).classes]
     edges = tuple(sorted(tuple(sorted(e)) for e in product(*parts)))
     return Hypergraph(n, r, edges)
 

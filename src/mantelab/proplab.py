@@ -382,6 +382,13 @@ class DecompositionReport:
         }
 
 
+def _check_decomposable(g: Hypergraph, part: VertexPartition) -> None:
+    """ValueError unless g is 4-uniform and part is a 4-class partition of its vertices."""
+    if g.k != 4:
+        raise ValueError(f"the decomposition is defined for k=4, got k={g.k}")
+    _check_partition(g, part)
+
+
 def _defect_table(f: Hypergraph, assignment) -> np.ndarray:
     """(4, m) bool: row i marks the edges of f with at least two vertices in class i."""
     cls = np.asarray(assignment, dtype=np.int64)[f.edge_array]
@@ -397,9 +404,7 @@ def decomposition(
 ) -> DecompositionReport:
     """Compute every decomposition set exactly per its definition."""
     consts = consts or AuditConstants()
-    if g.k != 4:
-        raise ValueError(f"the decomposition is defined for k=4, got k={g.k}")
-    _check_partition(g, part)
+    _check_decomposable(g, part)
     if f.n != g.n or f.k != g.k:
         raise ValueError("subhypergraph must share the host's vertex count and uniformity")
     if not f.edge_set <= g.edge_set:
@@ -511,7 +516,12 @@ class AuditReport:
 def relabel_for_largest_defect(
     f: Hypergraph, part: VertexPartition
 ) -> tuple[VertexPartition, tuple[int, int, int, int] | None]:
-    """Permute class labels so class 0 carries the largest defect set."""
+    """Permute class labels so class 0 carries the largest defect set.
+
+    Rejects (ValueError) a non-4-uniform f and a partition that is not
+    4-class or does not cover f's vertices, as :func:`decomposition` does.
+    """
+    _check_decomposable(f, part)
     order = np.argsort(-_defect_table(f, part.assignment).sum(axis=1), kind="stable").tolist()
     if order == [0, 1, 2, 3]:
         return part, None

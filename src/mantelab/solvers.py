@@ -24,6 +24,7 @@ from .hypergraph import (
     EdgeSet,
     Hypergraph,
     VertexPartition,
+    _check_partition,
     _crossing_mask,
 )
 # count_T is not called here but stays an attribute of this module, where
@@ -417,46 +418,57 @@ def _greedy_tfree(
 
 
 def _tfree_incumbent(
-    h: Hypergraph, triples: np.ndarray, seed: int, runs: int, restarts: int
+    h: Hypergraph,
+    triples: np.ndarray,
+    rng: random.Random | None,
+    runs: int,
+    cut: VertexPartition | None,
 ) -> list[int]:
-    """Kept edge ids of the largest of three copy-free sets.
+    """Kept edge ids of the largest of three copy-free sets; runs no search of its own.
 
-    One is the best of ``runs`` greedy deletions, one the crossing set of the
-    best local k-class cut over ``restarts`` (each draws from its own
-    ``random.Random(seed)``), and one the star of the lowest-index vertex of
-    maximum degree.  The crossing set wins over greedy only when strictly
-    larger, and the star only when strictly larger than both.  A crossing
-    set is copy-free: two edges of a copy share k - 1 vertices, so if both
-    cross, their other two vertices take the one class the shared ones miss,
-    and the third edge, which holds both, cannot cross.  A star is
-    copy-free: a copy's two core edges meet only in the core, which its
-    third edge misses, so no vertex lies in all three.
+    One is the best of ``runs`` greedy deletions (later runs draw from
+    ``rng``), one the crossing set of the caller's ``cut`` (empty when there
+    is none), and one the star of the lowest-index vertex of maximum degree.
+    The crossing set wins over greedy only when strictly larger, and the star
+    only when strictly larger than both.  A crossing set is copy-free: two
+    edges of a copy share k - 1 vertices, so if both cross, their other two
+    vertices take the one class the shared ones miss, and the third edge,
+    which holds both, cannot cross.  A star is copy-free: a copy's two core
+    edges meet only in the core, which its third edge misses, so no vertex
+    lies in all three.
     """
-    greedy = _greedy_tfree(triples, len(h), random.Random(seed), runs)
-    _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
-    crossing = np.flatnonzero(_crossing_mask(h, assign)).tolist()
+    greedy = _greedy_tfree(triples, len(h), rng, runs)
+    crossing = [] if cut is None else np.flatnonzero(_crossing_mask(h, cut.assignment)).tolist()
     star = list(max(h.vertex_edges, key=len, default=()))
     return max((greedy, crossing, star), key=len)  # the first of the largest
 
 
 def max_tfree_repair(
-    h: Hypergraph, seed: int, restarts: int = 4
+    h: Hypergraph, seed: int, restarts: int = 4, cut: VertexPartition | None = None
 ) -> SolveResult:
     """Heuristic maximum copy-free edge subset; the result is always copy-free.
 
     Runs the greedy deletion heuristic (deterministic, then randomized tie
-    breaks across restarts) and additionally seeds the incumbent with the best
-    local-cut crossing set under the same (seed, restarts) and with the star
-    at a maximum-degree vertex, so the returned value is never below the
-    local cut's or the maximum degree.  The star is copy-free because a
-    copy's two core edges meet only in the core, which its third edge
-    misses.  Hosts with more than
+    breaks across restarts) and additionally seeds the incumbent with the
+    crossing set of ``cut`` and with the star at a maximum-degree vertex, so
+    the returned value is never below the cut's crossing count or the
+    maximum degree.  A caller that already holds a k-class cut of h (a
+    trial's q witness) passes it; with none, the best local cut under the
+    same (seed, restarts) is computed here, so the value is never below the
+    local cut's.  The star is copy-free because a copy's two core edges meet
+    only in the core, which its third edge misses.  Hosts with more than
     ``MAX_COPIES_EXACT`` copies are refused (ValueError) as in
-    :func:`max_tfree_exact`.
+    :func:`max_tfree_exact`, and so is a cut of another vertex count or
+    class count than h's.
     """
     t0 = time.monotonic()
+    if cut is not None:
+        _check_partition(h, cut)
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
-    best = _tfree_incumbent(h, triples, seed, max(1, restarts), restarts)
+    if cut is None:
+        _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
+        cut = VertexPartition(h.k, assign)
+    best = _tfree_incumbent(h, triples, random.Random(seed), max(1, restarts), cut)
     return SolveResult(
         value=len(best),
         witness=EdgeSet(h, frozenset(best)),
@@ -480,7 +492,9 @@ def _edge_copy_masks(m: int, triples: list[list[int]]) -> list[int]:
     return [int.from_bytes(b, "little") for b in bufs]
 
 
-def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
+def max_tfree_exact(
+    h: Hypergraph, budget: Budget | None = None, cut: VertexPartition | None = None
+) -> SolveResult:
     """Maximum edge subset containing no copy of the generalized triangle.
 
     Every copy forbids keeping all three of its edges.  Branch-and-bound
@@ -512,13 +526,18 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     the incumbent and the masks count against it; a budget spent before
     the search stops it at its first node.
 
-    The incumbent starts at the largest of the greedy set, the local-cut
-    crossing set and the star at a maximum-degree vertex
-    (:func:`_tfree_incumbent`).  The star is copy-free because a copy's two
-    core edges meet only in the core, which its third edge misses, so the
-    value is at least the maximum degree under any budget.
+    The incumbent starts at the largest of the greedy set, the crossing set
+    of ``cut`` when the caller passes one (a trial's q witness, or the
+    near-equal partition of a complete host) and the star at a
+    maximum-degree vertex (:func:`_tfree_incumbent`).  The star is copy-free
+    because a copy's two core edges meet only in the core, which its third
+    edge misses.  So under any budget the value is at least the maximum
+    degree and at least the cut's crossing count.  A cut of another vertex
+    count or class count than h's is refused with ValueError.
     """
     ticker = _Ticker(budget)
+    if cut is not None:
+        _check_partition(h, cut)
     m = len(h)
     # m x C > MAX_MASK_BITS_EXACT exactly when C > MAX_MASK_BITS_EXACT // m
     mask_limit = MAX_MASK_BITS_EXACT // max(m, 1)
@@ -538,7 +557,7 @@ def max_tfree_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
             optimal=True,
             stats=SearchStats(nodes=0, elapsed=ticker.elapsed(), budget_hit=False),
         )
-    incumbent = _tfree_incumbent(h, triples, 0x5EED, 1, 3)
+    incumbent = _tfree_incumbent(h, triples, None, 1, cut)
     best = {"value": len(incumbent), "keep": incumbent}
     triples = triples.tolist()  # the search reads single rows, which lists serve faster
 

@@ -127,11 +127,56 @@ def test_timing_columns_in_every_row(name, tmp_path, monkeypatch):
     timings = {
         "phase_exact": ["t_sample", "t_q", "t_tfree", "t_fourp"],
         "concentration": ["t_sample", "t_report"],
-        "audit_exact": ["t_sample", "t_tfree", "t_partition", "t_audit", "t_gap"],
+        "audit_exact": ["t_sample", "t_q", "t_tfree", "t_partition", "t_audit"],
     }[name]
     assert cols[-len(timings):] == timings
     assert {ln.split(",")[0] for ln in lines[1:]} >= {"trial", "skip"}
     assert all(len(ln.split(",")) == len(cols) for ln in lines[1:])
+
+
+class TestOneCutPerTrial:
+    """A trial's copy-free solve takes q's partition as a candidate incumbent."""
+
+    @pytest.mark.parametrize("kind", ["phase-sweep", "audit"])
+    def test_heuristic_trial_cuts_its_host_once(self, kind, tmp_path, monkeypatch):
+        # q's local cut is passed to the repair, which runs none of its own;
+        # the audit's second local cut is of the copy-free subhypergraph
+        import mantelab.solvers
+
+        hosts, cut = [], []
+        sample, local = mantelab.experiments.sample_gknp, mantelab.solvers._kpartite_local
+
+        def spy_sample(*args):
+            hosts.append(sample(*args))
+            return hosts[-1]
+
+        def spy_local(h, *args):
+            cut.append(h)
+            return local(h, *args)
+
+        monkeypatch.setattr(mantelab.experiments, "sample_gknp", spy_sample)
+        monkeypatch.setattr(mantelab.solvers, "_kpartite_local", spy_local)
+        doc = base_doc(tmp_path, kind=kind, n=[10], p={"absolute": [0.3]}, tier="heuristic",
+                       restarts=2)
+        assert run_experiment(config_from_dict(doc)).status == EXIT_CLEAN
+        assert len(hosts) == 2
+        assert [sum(h is g for h in cut) for g in hosts] == [1, 1]
+
+    @pytest.mark.parametrize("kind,tier,n,extra", [
+        ("phase-sweep", "exact", [10, 12], {"budget": {"max_nodes": 20}}),
+        ("audit", "exact", [12], {"budget": {"max_nodes": 20}}),
+        ("phase-sweep", "heuristic", [14], {"restarts": 2}),
+        ("audit", "heuristic", [14], {"restarts": 2}),
+    ])
+    def test_copy_free_value_at_least_q(self, kind, tier, n, extra, tmp_path):
+        # q's crossing set is copy-free and a candidate incumbent of the
+        # copy-free solve, so tfree >= q in every trial row, under any budget
+        doc = base_doc(tmp_path, kind=kind, n=n, p={"absolute": [0.3, 0.5]}, tier=tier, **extra)
+        out = run_experiment(config_from_dict(doc))
+        _, _, rows = read_rows(out.files[0])
+        trials = [r for r in rows if r["row_type"] == "trial"]
+        assert len(trials) == 2 * 2 * len(n)
+        assert all(int(r["tfree_value"]) >= int(r["q_value"]) for r in trials)
 
 
 class TestConfig:

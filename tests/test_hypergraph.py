@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mantelab.hypergraph import (
+    EdgeSet,
+    Hypergraph,
     VertexPartition,
     _crossing_mask,
     build_hypergraph,
@@ -19,9 +21,11 @@ from mantelab.hypergraph import (
     shadow_graph,
     to_text,
     turan_hypergraph,
+    turan_partition,
 )
 from mantelab.motifs import count_T, find_T
 from mantelab.proplab import _crossing_degrees
+from mantelab.randgen import derive_seed, sample_gknp
 
 from conftest import naive_crossing_ids, random_hypergraph, random_vertex_partition
 
@@ -169,6 +173,21 @@ class TestTuran:
         assert count_T(h) == 0
 
 
+class TestTuranPartition:
+    @pytest.mark.parametrize("n,r", [(4, 2), (7, 4), (9, 3), (10, 4), (12, 2)])
+    def test_crossing_set_is_the_turan_hypergraph(self, n, r):
+        part = turan_partition(n, r)
+        sizes = [n // r + (i < n % r) for i in range(r)]
+        assert part.class_sizes == tuple(sizes)
+        assert list(part.assignment) == sorted(part.assignment)
+        crossing = crossing_edges(complete_hypergraph(n, r), part).as_hypergraph()
+        assert crossing == turan_hypergraph(n, r)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            turan_partition(3, 4)
+
+
 class TestInvariants:
     def test_handshake(self, rng):
         for _ in range(25):
@@ -252,6 +271,22 @@ class TestEdgeSet:
     def test_rejects_foreign_edge(self):
         with pytest.raises(ValueError, match="not in host"):
             edge_subset(t4(), [(0, 1, 2, 5)])
+
+    @pytest.mark.parametrize("host", [
+        sample_gknp(12, 4, 0.4, derive_seed(5, 0)), complete_hypergraph(9, 3),
+    ], ids=["sampled", "tuple-built"])
+    def test_as_hypergraph_takes_the_host_rows(self, host, rng):
+        # F's edge_array is installed at construction from the host's rows,
+        # so nothing rebuilds it from F's tuples
+        for size in (0, 1, len(host) // 3, len(host)):
+            ids = sorted(rng.sample(range(len(host)), size))
+            f = EdgeSet(host, frozenset(ids)).as_hypergraph()
+            assert "edge_array" in f.__dict__
+            assert f.edge_array.dtype == np.int64 and f.edge_array.shape == (size, host.k)
+            assert np.array_equal(f.edge_array, host.edge_array[ids])
+            assert not f.edge_array.flags.writeable
+            assert f == Hypergraph(host.n, host.k, tuple(host.edges[i] for i in ids))
+            assert all(type(v) is int for e in f.edges for v in e)
 
 
 class TestTextFormat:

@@ -457,6 +457,20 @@ class TestDefectAudit:
             assert rep.sizes["defect_1"] >= rep.sizes["defect_2"]
         assert moved >= 5
 
+    @pytest.mark.parametrize("f,part", [
+        # two classes: it used to come back unchanged, as if relabeled
+        (build_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 4, 5)]), VertexPartition(2, (0, 1, 0, 1, 0, 1))),
+        # four vertices of six: it used to raise a bare IndexError
+        (build_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 4, 5)]), VertexPartition(4, (0, 0, 1, 2))),
+        # seven vertices of six
+        (build_hypergraph(6, 4, [(0, 1, 2, 3)]), VertexPartition(4, (0, 1, 2, 3, 0, 1, 2))),
+        # a 3-uniform F, whose defect sets are not defined
+        (build_hypergraph(6, 3, [(0, 1, 2), (0, 3, 4)]), VertexPartition(3, (0, 1, 2, 0, 1, 2))),
+    ], ids=["two-classes", "short", "long", "three-uniform"])
+    def test_relabel_rejects_a_mismatched_partition(self, f, part):
+        with pytest.raises(ValueError):
+            relabel_for_largest_defect(f, part)
+
     def test_low_pair_disjoint_counts_defect_pairs(self, rng):
         from mantelab.hypergraph import common_degree
 

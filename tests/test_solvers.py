@@ -17,6 +17,7 @@ from mantelab.hypergraph import (
     crossing_edges,
     empty_hypergraph,
     turan_hypergraph,
+    turan_partition,
 )
 from mantelab.motifs import count_T, find_T, generalized_triangle
 from mantelab.randgen import derive_seed, sample_gknp
@@ -297,6 +298,15 @@ class TestTfreeExactGolden:
         res = max_tfree_exact(h)
         assert res.optimal and res.value == round(-milp.fun)
 
+    def test_cut_floors_a_budgeted_search(self):
+        # with no cut, one node leaves K²₁₂ at the greedy set's 32 edges; the
+        # balanced bipartition crosses 36 = 6 * 6, Mantel's bound
+        h = complete_hypergraph(12, 2)
+        assert max_tfree_exact(h, Budget(max_nodes=1)).value < 36
+        res = max_tfree_exact(h, Budget(max_nodes=1), cut=turan_partition(12, 2))
+        assert res.value >= 36 and res.stats.budget_hit
+        assert count_T(res.witness.as_hypergraph()) == 0
+
     def test_complete_eleven_stays_small(self):
         # 69,300 copies: a per-copy conflict mask would need ~600 MB here,
         # the per-edge copy masks need ~3 MB
@@ -440,6 +450,31 @@ class TestTfreeRepair:
             res = max_tfree_repair(h, derive_seed(10, i))
             assert count_T(res.witness.as_hypergraph()) == 0
 
+    def test_never_below_the_cut_passed(self, rng):
+        # a passed cut replaces the repair's own local cut, and its crossing
+        # set is a candidate incumbent; on some k = 3 hosts it is the largest
+        from mantelab.solvers import _kpartite_local
+
+        lifted = 0
+        for i in range(12):
+            h = random_hypergraph(rng, rng.randint(10, 14), 3, p=0.4)
+            _, assign, _ = _kpartite_local(h, random.Random(i), 8)
+            part = VertexPartition(3, assign)
+            crossing = len(crossing_edges(h, part))
+            res = max_tfree_repair(h, derive_seed(4, i), 1, cut=part)
+            assert count_T(res.witness.as_hypergraph()) == 0
+            assert res.value >= crossing
+            lifted += crossing > max_tfree_repair(h, derive_seed(4, i), 1).value
+        assert lifted >= 1
+
+    def test_cut_must_match_the_host(self):
+        h = complete_hypergraph(8, 3)
+        for part in (turan_partition(8, 2), turan_partition(7, 3)):
+            with pytest.raises(ValueError):
+                max_tfree_repair(h, derive_seed(1, 1), cut=part)
+            with pytest.raises(ValueError):
+                max_tfree_exact(h, cut=part)
+
     def test_dominates_local_cut(self):
         # the local-cut crossing set seeds the incumbent, so this is enforced
         seed = derive_seed(2024, 5)
@@ -528,9 +563,10 @@ class TestArrayKernels:
                 assert got_rng.getstate() == ref_rng.getstate()
 
     def test_tfree_incumbent_tie_rule(self, rng):
-        # greedy keeps ties: the crossing set wins only when strictly larger,
-        # and the star at the lowest-index vertex of maximum degree only when
-        # strictly larger than both
+        # greedy keeps ties: the crossing set of the caller's cut wins only
+        # when strictly larger, and the star at the lowest-index vertex of
+        # maximum degree only when strictly larger than both; with no cut
+        # there is no crossing candidate
         from mantelab.motifs import t_copy_triples
         from mantelab.solvers import _greedy_tfree, _kpartite_local, _tfree_incumbent
 
@@ -542,12 +578,15 @@ class TestArrayKernels:
             runs, restarts = rng.choice([(1, 3), (4, 4)])
             greedy = _greedy_tfree(trips, len(h), random.Random(i), runs)
             _, assign, _ = _kpartite_local(h, random.Random(i), restarts)
-            crossing = sorted(naive_crossing_ids(h, VertexPartition(k, assign)))
+            part = VertexPartition(k, assign)
+            crossing = sorted(naive_crossing_ids(h, part))
             best = crossing if len(crossing) > len(greedy) else greedy
             v = int(np.bincount(h.edge_array.ravel(), minlength=h.n).argmax())
             star = [j for j, e in enumerate(h.edges) if v in e]
             want = star if len(star) > len(best) else best
-            assert _tfree_incumbent(h, trips, i, runs, restarts) == want
+            assert _tfree_incumbent(h, trips, random.Random(i), runs, part) == want
+            uncut = star if len(star) > len(greedy) else greedy
+            assert _tfree_incumbent(h, trips, random.Random(i), runs, None) == uncut
             tied_apart += len(crossing) == len(greedy) and crossing != greedy
             star_tied += len(star) == len(best) and star != best
             star_won += len(star) > len(best)
