@@ -167,10 +167,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     k = _shaped(doc.get("k", 4), "integer", "k")
     if k not in (2, 3, 4):
         raise ConfigError(f"k must be 2, 3, or 4, got {k}")
-    pdoc = doc.get("p", {})
-    if isinstance(pdoc, (list, tuple)):
-        pdoc = {"absolute": pdoc}
-    _known_keys(_shaped(pdoc, "object", "p"), "p.")
+    pdoc = _known_keys(_shaped(doc.get("p", {}), "object", "p"), "p.")
     p_abs = tuple(map(float, _items(pdoc.get("absolute", []), "number", "p.absolute")))
     p_mult = tuple(
         map(float, _items(pdoc.get("logn_multipliers", []), "number", "p.logn_multipliers"))

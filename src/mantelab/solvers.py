@@ -14,7 +14,6 @@ import math
 import random
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 
@@ -79,7 +78,7 @@ class _BudgetExceeded(Exception):
 
 
 class _Ticker:
-    """Counts search nodes and enforces the budget at every node."""
+    """Counts search nodes, enforces the budget at every node and runs a search."""
 
     __slots__ = ("nodes", "max_nodes", "deadline", "start")
 
@@ -100,20 +99,33 @@ class _Ticker:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
+    def run(self, search, depth: int, *root) -> bool:
+        """Run ``search(*root)``; True if the budget stopped it.
 
-@contextmanager
-def _recursion_room(frames: int):
-    """Raise the recursion limit by ``frames`` for a search nesting that deep, then restore it.
+        The recursion limit is raised by ``depth`` for the search and
+        restored however it ends.  Checked on CPython 3.11, which keeps
+        Python-to-Python calls off the C stack.
+        """
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + depth)
+        try:
+            search(*root)
+        except _BudgetExceeded:
+            return True
+        finally:
+            sys.setrecursionlimit(limit)
+        return False
 
-    Checked on CPython 3.11, which keeps Python-to-Python calls off the C
-    stack.
-    """
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+
+def _incidence_masks(size: int, rows: list[list[int]]) -> list[int]:
+    """Per item 0..size-1, the bitset over the ids of the rows that hold it."""
+    nbytes = (len(rows) + 7) >> 3
+    bufs = [bytearray(nbytes) for _ in range(size)]
+    for ri, row in enumerate(rows):
+        byte, bit = ri >> 3, 1 << (ri & 7)
+        for x in row:
+            bufs[x][byte] |= bit
+    return [int.from_bytes(b, "little") for b in bufs]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +259,8 @@ def _cut4_search(
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     n, m = h.n, len(h)
-    order = sorted(range(n), key=lambda v: (-len(h.vertex_edges[v]), v))
-    ve = [sum(1 << i for i in h.vertex_edges[v]) for v in range(n)]
+    ve = _incidence_masks(n, h.edge_array.tolist())
+    order = sorted(range(n), key=lambda v: (-ve[v].bit_count(), v))
     best = {"value": value, "assign": assign}
     cur = [-1] * n
     slack: dict[tuple[int, ...], int] = {}
@@ -300,13 +312,8 @@ def _cut4_search(
                 dead | (sc & e),
             )
 
-    try:
-        # dfs nests once per assigned vertex, n + 1 deep, plus its leaf calls
-        with _recursion_room(n + 2):
-            dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
-        budget_hit = False
-    except _BudgetExceeded:
-        budget_hit = True
+    # dfs nests once per assigned vertex, n + 1 deep, plus its leaf calls
+    budget_hit = ticker.run(dfs, n + 2, 0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
     del dfs  # dfs holds its own cell: break the cycle so its state is freed now
     return best["value"], best["assign"], budget_hit
 
@@ -439,7 +446,9 @@ def _tfree_incumbent(
     """
     greedy = _greedy_tfree(triples, len(h), rng, runs)
     crossing = [] if cut is None else np.flatnonzero(_crossing_mask(h, cut.assignment)).tolist()
-    star = list(max(h.vertex_edges, key=len, default=()))
+    e = h.edge_array
+    hub = np.bincount(e.reshape(-1), minlength=h.n).argmax()  # lowest of maximum degree
+    star = np.flatnonzero((e == hub).any(axis=1)).tolist()
     return max((greedy, crossing, star), key=len)  # the first of the largest
 
 
@@ -455,11 +464,10 @@ def max_tfree_repair(
     maximum degree.  A caller that already holds a k-class cut of h (a
     trial's q witness) passes it; with none, the best local cut under the
     same (seed, restarts) is computed here, so the value is never below the
-    local cut's.  The star is copy-free because a copy's two core edges meet
-    only in the core, which its third edge misses.  Hosts with more than
-    ``MAX_COPIES_EXACT`` copies are refused (ValueError) as in
-    :func:`max_tfree_exact`, and so is a cut of another vertex count or
-    class count than h's.
+    local cut's (:func:`_tfree_incumbent` proves both sets copy-free).
+    Hosts with more than ``MAX_COPIES_EXACT`` copies are refused
+    (ValueError) as in :func:`max_tfree_exact`, and so is a cut of another
+    vertex count or class count than h's.
     """
     t0 = time.monotonic()
     if cut is not None:
@@ -479,17 +487,6 @@ def max_tfree_repair(
             budget_hit=False,
         ),
     )
-
-
-def _edge_copy_masks(m: int, triples: list[list[int]]) -> list[int]:
-    """Per edge, the bitset over copy ids of the copies through it."""
-    nbytes = (len(triples) + 7) >> 3
-    bufs = [bytearray(nbytes) for _ in range(m)]
-    for ci, t in enumerate(triples):
-        byte, bit = ci >> 3, 1 << (ci & 7)
-        for e in t:
-            bufs[e][byte] |= bit
-    return [int.from_bytes(b, "little") for b in bufs]
 
 
 def max_tfree_exact(
@@ -529,9 +526,8 @@ def max_tfree_exact(
     The incumbent starts at the largest of the greedy set, the crossing set
     of ``cut`` when the caller passes one (a trial's q witness, or the
     near-equal partition of a complete host) and the star at a
-    maximum-degree vertex (:func:`_tfree_incumbent`).  The star is copy-free
-    because a copy's two core edges meet only in the core, which its third
-    edge misses.  So under any budget the value is at least the maximum
+    maximum-degree vertex (:func:`_tfree_incumbent`, which proves each
+    copy-free).  So under any budget the value is at least the maximum
     degree and at least the cut's crossing count.  A cut of another vertex
     count or class count than h's is refused with ValueError.
     """
@@ -543,8 +539,9 @@ def max_tfree_exact(
     mask_limit = MAX_MASK_BITS_EXACT // max(m, 1)
     try:
         triples = t_copy_triples(h, limit=min(MAX_COPIES_EXACT, mask_limit))
-    except ValueError:
-        if mask_limit >= MAX_COPIES_EXACT:
+    except ValueError as exc:
+        # only the scan's own guard stops at the mask limit; pass any other refusal on
+        if mask_limit >= MAX_COPIES_EXACT or not str(exc).startswith("copy guard:"):
             raise
         raise ValueError(
             f"mask guard: {m} edges x more than {mask_limit} copies is more than "
@@ -561,7 +558,7 @@ def max_tfree_exact(
     best = {"value": len(incumbent), "keep": incumbent}
     triples = triples.tolist()  # the search reads single rows, which lists serve faster
 
-    cm = _edge_copy_masks(m, triples)
+    cm = _incidence_masks(m, triples)
     participation = [c.bit_count() for c in cm]
     status = [UNDEC] * m
 
@@ -628,14 +625,9 @@ def max_tfree_exact(
         for x in assigned_here:
             status[x] = UNDEC
 
-    try:
-        # a frame recurses only after deciding an edge of its own (a resolved
-        # pick recurses once after a keep), so search nests at most m + 1 deep
-        with _recursion_room(m + 2):
-            search((1 << len(triples)) - 1, 0, 0)
-        budget_hit = False
-    except _BudgetExceeded:
-        budget_hit = True
+    # a frame recurses only after deciding an edge of its own (a resolved
+    # pick recurses once after a keep), so search nests at most m + 1 deep
+    budget_hit = ticker.run(search, m + 2, (1 << len(triples)) - 1, 0, 0)
     del search  # as in _cut4_search: free the masks and triples at return
     return SolveResult(
         value=best["value"],

@@ -221,6 +221,7 @@ class TestConfig:
 _WRONG_TYPES = [
     ("budget", 5),
     ("p", "0.3"),
+    ("p", [0.3]),
     ("p", {"absolute": 0.3}),
     ("n", 8),
     ("constants", [1]),
@@ -694,6 +695,36 @@ class TestCli:
         from mantelab.solvers import max_cut4_exact
 
         assert doc["value"] == max_cut4_exact(g).value
+
+    @pytest.mark.parametrize("tier,flags,to_file", [
+        ("exact", ["--max-nodes", "40"], True),
+        ("exact", [], False),
+        ("heuristic", ["--restarts", "3"], True),
+    ])
+    def test_solve_tfree(self, tmp_path, capsys, tier, flags, to_file):
+        from mantelab.solvers import Budget, max_tfree_exact, max_tfree_repair
+
+        host = tmp_path / "g.hyp"
+        cli_main(["generate", "--n", "9", "--k", "4", "--p", "0.4", "--seed", "3",
+                  "--out", str(host)])
+        capsys.readouterr()
+        out_json = tmp_path / "res.json"
+        rc = cli_main(["solve", "--in", str(host), "--problem", "tfree", "--tier", tier,
+                       "--seed", "11", *flags] + (["--out", str(out_json)] if to_file else []))
+        assert rc == EXIT_CLEAN
+        stdout = capsys.readouterr().out
+        if to_file:
+            assert stdout == ""
+        doc = json.loads(out_json.read_text() if to_file else stdout)
+        g = read_text(str(host))
+        if tier == "exact":
+            res = max_tfree_exact(g, Budget(max_nodes=40 if flags else None))
+        else:
+            res = max_tfree_repair(g, derive_seed(11, 0), 3)
+        assert (doc["problem"], doc["tier"]) == ("tfree", tier)
+        assert (doc["value"], doc["optimal"]) == (res.value, res.optimal)
+        assert doc["witness"] == [list(e) for e in res.witness.edges]
+        assert len(doc["witness"]) == doc["value"]
 
     def test_fmt_roundtrip_identical(self, tmp_path, capsys):
         host = tmp_path / "g.hyp"

@@ -111,6 +111,26 @@ class TestSampler:
             (0, 1), (0, 5), (1, 2), (1, 4), (1, 5), (2, 5), (3, 5),
         )
 
+    @pytest.mark.parametrize("seed", [8, 44, 50])
+    def test_batch_continuation_matches_one_draw_walk(self, seed):
+        # p * m = 960, so the sampler draws 1,024 uniforms per batch; for
+        # these seeds the first batch ends inside the universe and a second
+        # batch continues the walk from the same PCG64 stream
+        n, k = 40, 4
+        m = math.comb(n, k)
+        p = 960 / m
+        rng = np.random.Generator(np.random.PCG64(seed))
+        log1mp = math.log1p(-p)
+        pos, draws, edges = -1, 0, []
+        while True:
+            draws += 1
+            pos += min(math.floor(math.log1p(-rng.random()) / log1mp), m + 1) + 1
+            if pos >= m:
+                break
+            edges.append(colex_unrank(pos, k))
+        assert draws > 1024
+        assert sample_gknp(n, k, p, seed).edges == tuple(sorted(edges))
+
     def test_valid_edges(self):
         g = sample_gknp(11, 4, 0.4, derive_seed(8, 8))
         assert all(len(set(e)) == 4 and 0 <= min(e) and max(e) < 11 for e in g.edges)

@@ -89,11 +89,20 @@ class TestTfreeExact:
         bits = len(h) * count_T(h)
         monkeypatch.setattr(mantelab.solvers, "MAX_MASK_BITS_EXACT", bits - 1)
         with monkeypatch.context() as mp:
-            mp.setattr(mantelab.solvers, "_edge_copy_masks", None)  # calling it fails
+            mp.setattr(mantelab.solvers, "_incidence_masks", None)  # calling it fails
             with pytest.raises(ValueError, match=f"mask guard: .* more than {bits - 1} bits"):
                 max_tfree_exact(h)
         monkeypatch.setattr(mantelab.solvers, "MAX_MASK_BITS_EXACT", bits)
         assert max_tfree_exact(h).optimal
+
+    def test_other_refusals_are_not_the_mask_guard(self):
+        # K⁵₁₂ has 792 edges, so the mask limit 2^32 // 792 is below the
+        # copy guard, and the scan refuses k = 5 before it counts a copy
+        h = complete_hypergraph(12, 5)
+        with pytest.raises(ValueError, match="^unsupported uniformity k=5"):
+            max_tfree_exact(h)
+        with pytest.raises(ValueError, match="^unsupported uniformity k=5"):
+            max_tfree_repair(h, derive_seed(1, 1))
 
     @pytest.mark.parametrize("solve,host", [
         (max_tfree_exact, "complete-8"), (max_cut4_exact, "gknp-10-0.5-0"),
@@ -797,8 +806,13 @@ class TestPartitionFor:
         assert len(crossing_edges(f, res.witness)) == len(f.edges)
 
     def test_local_delegate_needs_seed(self):
+        f = turan_hypergraph(8, 4)
         with pytest.raises(ValueError):
-            best_partition_for(turan_hypergraph(8, 4), "local")
+            best_partition_for(f, "local")
+        res = best_partition_for(f, "local", seed=derive_seed(7, 7), restarts=3)
+        want = max_cut4_local(f, derive_seed(7, 7), restarts=3)
+        assert (res.value, res.witness, res.optimal) == (want.value, want.witness, False)
+        assert res.value == len(crossing_edges(f, res.witness))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
