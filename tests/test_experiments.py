@@ -700,7 +700,7 @@ class TestCli:
         ("exact", ["--max-nodes", "40"], True),
         ("exact", [], False),
         ("heuristic", ["--restarts", "3"], True),
-    ])
+    ], ids=["exact-budgeted", "exact-stdout", "heuristic"])
     def test_solve_tfree(self, tmp_path, capsys, tier, flags, to_file):
         from mantelab.solvers import Budget, max_tfree_exact, max_tfree_repair
 
