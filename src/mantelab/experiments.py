@@ -336,14 +336,12 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
     index ``c * trials + t``, so a capped cell still uses up its indices.  A
     ``ValueError`` from a trial's stages turns the trial into a ``skip`` row.
 
-    Each trial runs with the cyclic garbage collector paused.  An n=64,
-    p=0.5 host is about 318k edge tuples, each a tracked container, and
-    building one set off about 415 young and 38 middle collections that
-    walked them, a third of the sampling time.  Reference counting frees
-    the host when the trial returns, so the collector, if it was enabled,
-    is enabled again and collects the young generation, which holds every
-    object the trial allocated: that reclaims the trial's cyclic garbage
-    and walks no freed tuple.  The prior state is restored on error too.
+    Each trial runs with the cyclic garbage collector paused, so no collection
+    walks the edge tuples built in it: a sampled host builds its 318k tuples
+    at n=64, p=0.5 only when ``edges`` is read, as ``perfbench/worker.py``'s
+    counters do.  The host is freed by reference counting when the trial
+    returns; the collector, if it was on, is switched back on and collects
+    the young generation.  The prior state is restored on error too.
     """
     items = []
     skipped_cells = []

@@ -1,9 +1,9 @@
 """Core data model for k-uniform hypergraphs, vertex partitions, and shadows.
 
-Vertices are dense 0-based integers.  Edges are stored as ascending tuples,
-deduplicated, in lexicographic order; edge identity is set identity.  All
-objects here are immutable after construction, so any number of threads may
-query them concurrently.
+Vertices are dense 0-based integers.  A hypergraph is its edge rows: ascending,
+deduplicated and in lexicographic order; edge identity is set identity.  Edge
+tuples and indexes are built on first read.  All objects here are immutable
+after construction, so any number of threads may query them concurrently.
 
 The text format is bit-exact: line 1 is ``n k m``, followed by ``m`` lines of
 ``k`` ascending space-separated vertex ids, LF line endings, no comments.
@@ -46,20 +46,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """An n-vertex k-uniform hypergraph with a canonical, deduplicated edge list.
+    """An n-vertex k-uniform hypergraph held as its edge rows.
 
-    ``edges`` must hold ascending k-tuples in lexicographic order with no
-    duplicates; use :func:`build_hypergraph` to construct from untrusted input.
+    ``rows`` (an array or k-tuples) must hold ascending rows in lexicographic
+    order with no duplicates; use :func:`build_hypergraph` for untrusted input.
     """
 
     n: int
     k: int
-    edges: tuple[Edge, ...]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64).reshape(-1, self.k))
+        self.rows.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return self.n == other.n and self.k == other.k and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.rows.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The rows as Python-int tuples, built column-wise one 2^14-row block at a time."""
+        blocks = (zip(*self.rows[i:i + (1 << 14)].T.tolist()) for i in range(0, len(self), 1 << 14))
+        return tuple(chain.from_iterable(blocks))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -96,10 +114,8 @@ class Hypergraph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (m, k) int64 array with ascending rows, in edge order."""
-        arr = np.asarray(self.edges, dtype=np.int64).reshape(-1, self.k)
-        arr.setflags(write=False)
-        return arr
+        """The rows, read through a cached property that ``perfbench/worker.py`` traces."""
+        return self.rows
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -130,12 +146,11 @@ class EdgeSet:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.universe.edges[i] for i in sorted(self.indices))
+        return self.as_hypergraph().edges
 
     def as_hypergraph(self) -> Hypergraph:
-        """The subset as a hypergraph on the host's vertices; its edge_array is the host's rows."""
-        ids = np.array(sorted(self.indices), dtype=np.intp)
-        return _from_rows(self.universe.n, self.universe.k, self.universe.edge_array.take(ids, axis=0))
+        """The subset as a hypergraph on the host's vertices: the host's rows at its ids."""
+        return Hypergraph(self.universe.n, self.universe.k, self.universe.rows[sorted(self.indices)])
 
 
 @dataclass(frozen=True)
@@ -170,17 +185,6 @@ class VertexPartition:
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _from_rows(n: int, k: int, rows: np.ndarray) -> Hypergraph:
-    """Hypergraph of distinct ascending int64 rows in lex order; the rows become its edge_array.
-
-    The tuples are built 2^14 rows at a time, so only one block's column lists are held."""
-    blocks = (zip(*rows[i:i + (1 << 14)].T.tolist()) for i in range(0, len(rows), 1 << 14))
-    g = Hypergraph(n, k, tuple(chain.from_iterable(blocks)))
-    rows.setflags(write=False)
-    g.__dict__["edge_array"] = rows
-    return g
 
 
 def build_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -237,11 +241,9 @@ def link(g: Hypergraph, v: int) -> Hypergraph:
     """The (k-1)-uniform hypergraph of edge remainders through v; size d(v)."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    rem = []
-    for i in g.vertex_edges[v]:
-        e = g.edges[i]
-        rem.append(tuple(x for x in e if x != v))
-    return Hypergraph(g.n, g.k - 1, tuple(sorted(rem)))
+    # dropping v from each edge through v keeps their lexicographic order
+    through = g.edge_array[(g.edge_array == v).any(axis=1)]
+    return Hypergraph(g.n, g.k - 1, through[through != v])
 
 
 def _check_partition(g: Hypergraph, part: VertexPartition) -> None:

@@ -112,7 +112,7 @@ def find_T(h: Hypergraph) -> tuple[Edge, Edge, Edge] | None:
     """
     for rows in _copy_blocks(h):
         if len(rows):
-            return tuple(h.edges[x] for x in rows[0].tolist())
+            return tuple(map(tuple, h.edge_array[rows[0]].tolist()))
     return None
 
 

@@ -21,7 +21,7 @@ import random
 
 import numpy as np
 
-from .hypergraph import Hypergraph, VertexPartition, _from_rows
+from .hypergraph import Hypergraph, VertexPartition
 
 __all__ = [
     "derive_seed",
@@ -97,7 +97,7 @@ def _host(n: int, k: int, ranks: np.ndarray) -> Hypergraph:
     for i in range(k):
         tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
         mirror += tab[n - 1 - rows[:, i]]
-    return _from_rows(n, k, rows[np.argsort(mirror)[::-1]])
+    return Hypergraph(n, k, rows[np.argsort(mirror)[::-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,22 @@ class TestGcPause:
         assert gc.isenabled() == enabled
 
 
+def test_trial_stages_build_no_host_tuples():
+    # the concentration and exact phase stages read hosts only as rows
+    from mantelab.proplab import concentration_report, low_pairs
+    from mantelab.randgen import random_partition
+    from mantelab.solvers import is_4partite, max_cut4_exact, max_tfree_exact
+
+    g = sample_gknp(9, 4, 0.4, derive_seed(4, 0))
+    concentration_report(g, 0.4, random_partition(9, 4, derive_seed(4, 1)), 0.5)
+    assert "edges" not in vars(g)
+    q = max_cut4_exact(g)
+    f = max_tfree_exact(g, None, q.witness).witness.as_hypergraph()
+    assert is_4partite(f) is not None
+    low_pairs(g, q.witness, 0.4)
+    assert "edges" not in vars(g) and "edges" not in vars(f)
+
+
 class TestAuditRun:
     def test_pipeline_and_json(self, tmp_path):
         doc = base_doc(

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -87,6 +88,41 @@ class TestLink:
     def test_bad_vertex(self):
         with pytest.raises(ValueError):
             link(t4(), 9)
+
+    def test_matches_sorted_edge_remainders(self, rng):
+        for k in (2, 3, 4):
+            h = random_hypergraph(rng, 9, k, p=0.4)
+            for v in range(h.n):
+                rem = sorted(tuple(x for x in e if x != v) for e in h.edges if v in e)
+                assert link(h, v).edges == tuple(rem)
+
+
+class TestConstructors:
+    """Row-built and tuple-built hosts are one type: equal by (n, k, rows)."""
+
+    def test_sampled_host_equals_tuple_built(self):
+        g = sample_gknp(12, 4, 0.4, derive_seed(9, 2))
+        h = build_hypergraph(12, 4, g.edges)
+        assert g == h and hash(g) == hash(h)
+
+    def test_unequal_hosts(self):
+        g = sample_gknp(12, 4, 0.4, derive_seed(9, 2))
+        assert g != Hypergraph(13, 4, g.rows)
+        new = next(e for e in combinations(range(12), 4) if e not in g.edge_set)
+        assert g != build_hypergraph(12, 4, g.edges[:-1] + (new,))
+        assert g != g.edges
+
+    def test_empty_rows(self):
+        h = Hypergraph(6, 4, ())
+        assert h.edge_array.shape == (0, 4) and h.edge_array.dtype == np.int64
+        assert len(h) == 0 and h.edges == ()
+        assert h == empty_hypergraph(6, 4)
+
+    def test_array_input_yields_python_ints(self):
+        h = build_hypergraph(6, 4, np.array([[3, 1, 0, 2], [5, 4, 3, 2]]))
+        assert h.edges == ((0, 1, 2, 3), (2, 3, 4, 5))
+        assert all(type(v) is int for e in h.edges for v in e)
+        assert json.loads(json.dumps(h.edges)) == [[0, 1, 2, 3], [2, 3, 4, 5]]
 
 
 class TestCrossing:
@@ -276,15 +312,14 @@ class TestEdgeSet:
         sample_gknp(12, 4, 0.4, derive_seed(5, 0)), complete_hypergraph(9, 3),
     ], ids=["sampled", "tuple-built"])
     def test_as_hypergraph_takes_the_host_rows(self, host, rng):
-        # F's edge_array is installed at construction from the host's rows,
-        # so nothing rebuilds it from F's tuples
+        # F is built from the host's rows at ids; its tuples wait for a read
         for size in (0, 1, len(host) // 3, len(host)):
             ids = sorted(rng.sample(range(len(host)), size))
             f = EdgeSet(host, frozenset(ids)).as_hypergraph()
-            assert "edge_array" in f.__dict__
+            assert np.array_equal(f.rows, host.rows[ids])
+            assert not f.rows.flags.writeable
+            assert "edges" not in f.__dict__
             assert f.edge_array.dtype == np.int64 and f.edge_array.shape == (size, host.k)
-            assert np.array_equal(f.edge_array, host.edge_array[ids])
-            assert not f.edge_array.flags.writeable
             assert f == Hypergraph(host.n, host.k, tuple(host.edges[i] for i in ids))
             assert all(type(v) is int for e in f.edges for v in e)
 

@@ -164,7 +164,7 @@ class TestSampledArray:
     @pytest.mark.parametrize(
         "n, k, p",
         [pytest.param(k + 6, k, p, id=f"{p}-{k}") for k in (2, 3, 4, 5) for p in (0.0, 0.3, 1.0)]
-        # about 18k rows: more than one block of hypergraph._from_rows
+        # about 18k rows: more than one 2^14-row block of Hypergraph.edges
         + [pytest.param(32, 4, 0.5, id="0.5-4-n32")],
     )
     def test_array_matches_edge_tuples(self, sampler, n, k, p):

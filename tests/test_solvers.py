@@ -53,21 +53,23 @@ def brute_force_tfree(h) -> int:
 
 
 def brute_force_cut4(h) -> int:
-    """4^n assignment enumeration oracle."""
-    n = len(range(h.n))
-    total = 4**n
-    counts = np.zeros(total, dtype=np.int32)
-    idx = np.arange(total, dtype=np.int64)
-    cls = [(idx // 4**v) % 4 for v in range(n)]
-    for e in h.edges:
-        bits = (
-            (1 << cls[e[0]].astype(np.int16))
-            | (1 << cls[e[1]].astype(np.int16))
-            | (1 << cls[e[2]].astype(np.int16))
-            | (1 << cls[e[3]].astype(np.int16))
-        )
-        counts += bits == 0b1111
-    return int(counts.max())
+    """Assignment enumeration oracle, 4^(n-1) assignments in chunks of 2^16.
+
+    Classes are interchangeable, so vertex 0 stays in class 0.  An edge
+    crosses when the class bits of its vertices OR to 0b1111.
+    """
+    total = 4 ** (h.n - 1)
+    shift = 2 * np.arange(h.n - 1, dtype=np.int64)[:, None]
+    best = 0
+    for start in range(0, total, 1 << 16):
+        codes = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        bits = np.ones((h.n, len(codes)), dtype=np.uint8)
+        bits[1:] = 1 << ((codes >> shift) & 3)
+        counts = np.zeros(len(codes), dtype=np.int32)
+        for a, b, c, d in h.edges:
+            counts += (bits[a] | bits[b] | bits[c] | bits[d]) == 0b1111
+        best = max(best, int(counts.max()))
+    return best
 
 
 class TestTfreeExact:
@@ -637,6 +639,12 @@ class TestCut4Exact:
             n = rng.randint(5, 8)
             h = random_hypergraph(rng, n, 4, p=rng.uniform(0.2, 0.7))
             assert max_cut4_exact(h).value == brute_force_cut4(h)
+
+    @pytest.mark.parametrize("n, index", [(10, 0), (10, 1), (11, 0)])
+    def test_matches_assignment_oracle_at_certified_sizes(self, n, index):
+        h = sample_gknp(n, 4, 0.3, derive_seed(23, index))
+        res = max_cut4_exact(h)
+        assert res.optimal and res.value == brute_force_cut4(h)
 
     def test_symmetry_breaking_loses_nothing(self, rng):
         for _ in range(8):
