@@ -80,11 +80,13 @@ def _unrank_batch(ranks: np.ndarray, k: int, n: int) -> np.ndarray:
     """Vectorized colex unranking; returns an (m, k) array with ascending rows."""
     cols = np.empty((len(ranks), k), dtype=np.int64)
     r = ranks.astype(np.int64, copy=True)
-    for i in range(k, 0, -1):
+    for i in range(k, 1, -1):
         tab = np.array([math.comb(x, i) for x in range(n + 1)], dtype=np.int64)
         s = np.searchsorted(tab, r, side="right") - 1
         cols[:, i - 1] = s
         r -= tab[s]
+    # C(s, 1) = s, so the lowest element is the remaining rank itself
+    cols[:, 0] = r
     return cols
 
 
@@ -92,12 +94,13 @@ def _host(n: int, k: int, ranks: np.ndarray) -> Hypergraph:
     """The hypergraph whose edges have the given colex ranks, rows in lex order."""
     rows = _unrank_batch(ranks, k, n)
     # Lex order of the rows is descending colex order of their mirror images
-    # {n-1-v}, whose ranks fit in int64 whenever C(n, k) does: one argsort.
-    mirror = np.zeros(len(rows), dtype=np.int64)
+    # {n-1-v}, whose ranks fit in int64 whenever C(n, k) does: one argsort of
+    # the negated ranks, which gives take a contiguous index.
+    neg_mirror = np.zeros(len(rows), dtype=np.int64)
     for i in range(k):
         tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
-        mirror += tab[n - 1 - rows[:, i]]
-    return Hypergraph(n, k, rows[np.argsort(mirror)[::-1]])
+        neg_mirror -= tab[n - 1 - rows[:, i]]
+    return Hypergraph(n, k, rows.take(np.argsort(neg_mirror), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from mantelab.hypergraph import (
     VertexPartition,
+    _crossing_mask,
     build_hypergraph,
     complete_hypergraph,
     crossing_edges,
@@ -19,6 +21,8 @@ from mantelab.hypergraph import (
 from mantelab.motifs import generalized_triangle
 from mantelab.proplab import (
     AuditConstants,
+    _core_links,
+    _pair_codegrees,
     chernoff_c,
     concentration_report,
     decomposition,
@@ -27,7 +31,7 @@ from mantelab.proplab import (
     low_pairs,
     relabel_for_largest_defect,
 )
-from mantelab.randgen import derive_seed, random_partition, sample_gknp
+from mantelab.randgen import colex_rank, derive_seed, random_partition, sample_gknp
 from mantelab.solvers import Budget, max_cut4_exact, max_cut4_local, max_tfree_repair
 
 from conftest import random_hypergraph, random_vertex_partition
@@ -35,6 +39,10 @@ from conftest import random_hypergraph, random_vertex_partition
 
 def equal_parts(n):
     return VertexPartition(4, tuple(v * 4 // n for v in range(n)))
+
+
+def crossing_rows(g, part):
+    return g.edge_array[_crossing_mask(g, part.assignment)]
 
 
 def unbalanced_parts(n, first, seed):
@@ -162,6 +170,12 @@ class TestConcentration:
             with pytest.raises(ValueError):
                 concentration_report(g, bad, None, 0.25)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_degenerate_eps(self, eps):
+        # inf would pass every row, and nan or eps <= 0 would fail every row
+        with pytest.raises(ValueError, match="eps"):
+            concentration_report(complete_hypergraph(8, 4), 0.5, None, eps)
+
     def test_without_partition_crossing_row_not_applicable(self):
         g = complete_hypergraph(8, 4)
         rep = concentration_report(g, 1.0)
@@ -210,6 +224,46 @@ class TestConcentration:
             degrees = [h.degree(v) for v in range(n)]
             assert rep.rows["vertex_degree"].observed_min == min(degrees)
             assert rep.rows["vertex_degree"].observed_max == max(degrees)
+
+    # C(n, 3) is not a multiple of 64 at any of these n, so each bitset row
+    # ends in a partly used word
+    KERNEL_HOSTS = [
+        pytest.param(sample_gknp(n, 4, 0.5, derive_seed(n, 2)).edge_array, n, id=f"gknp-{n}")
+        for n in (5, 8, 11, 21, 24)
+    ] + [
+        pytest.param(empty_hypergraph(9, 4).edge_array, 9, id="empty-9"),
+        pytest.param(complete_hypergraph(10, 4).edge_array, 10, id="complete-10"),
+        # the rows low_pairs passes: the crossing edges of a partition
+        pytest.param(crossing_rows(sample_gknp(24, 4, 0.5, derive_seed(24, 3)), equal_parts(24)),
+                     24, id="crossing-24"),
+    ]
+
+    @pytest.mark.parametrize("rows, n", KERNEL_HOSTS)
+    def test_core_links_match_core_sets(self, rows, n):
+        links, tcnt = _core_links(rows, n)
+        edges = {tuple(e) for e in rows.tolist()}
+        triples = sorted(combinations(range(n), 3), key=colex_rank)
+        # per vertex u, the colex ranks of the 3-sets t with t + u an edge
+        cores = [
+            {colex_rank(t) for t in triples if u not in t and tuple(sorted(t + (u,))) in edges}
+            for u in range(n)
+        ]
+        nwords = -(-len(triples) // 64)
+        words = [
+            [sum(1 << (r % 64) for r in cores[u] if r // 64 == w) for w in range(nwords)]
+            for u in range(n)
+        ]
+        assert links.dtype == np.dtype("<u8") and links.shape == (n, nwords)
+        assert links.tolist() == words
+        assert tcnt.tolist() == [sum(colex_rank(t) in c for c in cores) for t in triples]
+
+    @pytest.mark.parametrize("rows, n", KERNEL_HOSTS)
+    def test_pair_codegrees_match_naive_count(self, rows, n):
+        _, tcnt = _core_links(rows, n)
+        pairs = sorted(combinations(range(n), 2), key=colex_rank)
+        edges = rows.tolist()
+        naive = [sum(1 for e in edges if a in e and b in e) for a, b in pairs]
+        assert _pair_codegrees(tcnt, n).tolist() == naive
 
     def test_crossing_row_rescaled_per_source_class(self):
         # unequal classes: every source class checked against its own product

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mantelab.hypergraph import complete_hypergraph, to_text
 from mantelab.randgen import (
+    _unrank_batch,
     colex_rank,
     colex_unrank,
     derive_seed,
@@ -48,6 +49,17 @@ class TestColexOrder:
         s = colex_unrank(rank, k)
         assert len(set(s)) == k and list(s) == sorted(s)
         assert colex_rank(s) == rank
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_unrank_batch_matches_colex_unrank(self, k):
+        n = 200
+        m = math.comb(n, k)
+        # the ranks at and just below every C(x, i) step of the tables
+        ranks = {math.comb(x, i) + d for x in range(n + 1) for i in range(1, k + 1) for d in (-1, 0)}
+        ranks |= set(np.random.Generator(np.random.PCG64(k)).integers(0, m, 1000).tolist())
+        ranks = sorted(r for r in ranks if 0 <= r < m)
+        got = _unrank_batch(np.array(ranks, dtype=np.int64), k, n)
+        assert got.tolist() == [list(colex_unrank(r, k)) for r in ranks]
 
     def test_order_matches_reversed_lex(self):
         # colex order of k-subsets is lexicographic order of reversed tuples
@@ -130,6 +142,26 @@ class TestSampler:
             edges.append(colex_unrank(pos, k))
         assert draws > 1024
         assert sample_gknp(n, k, p, seed).edges == tuple(sorted(edges))
+
+    @pytest.mark.parametrize("n, p", [(64, 0.5), (120, 0.005)])
+    def test_rows_lex_sorted_with_walk_ranks(self, n, p):
+        # the skip walk in one batch: PCG64 yields the same doubles however
+        # they are batched, so these are the sampler's colex ranks
+        k, seed = 4, derive_seed(n, 5)
+        m = math.comb(n, k)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        gaps = np.floor(np.log1p(-rng.random(int(p * m * 1.1) + 1024)) / math.log1p(-p))
+        pos = np.cumsum(np.minimum(gaps, m + 1).astype(np.int64) + 1) - 1
+        assert pos[-1] >= m
+        walk = pos[pos < m]
+        g = sample_gknp(n, k, p, seed)
+        rows = g.edge_array
+        keys = ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
+        assert (np.diff(keys) > 0).all()
+        tabs = [np.array([math.comb(x, i + 1) for x in range(n)], dtype=np.int64) for i in range(k)]
+        ranks = sum(tabs[i][rows[:, i]] for i in range(k))
+        assert np.array_equal(np.sort(ranks), walk)
+        assert g.edges == tuple(sorted(g.edges))
 
     def test_valid_edges(self):
         g = sample_gknp(11, 4, 0.4, derive_seed(8, 8))
