@@ -90,11 +90,11 @@ class Hypergraph:
     @cached_property
     def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, the ascending ids of edges containing it."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                buckets[v].append(i)
-        return tuple(tuple(b) for b in buckets)
+        # a stable argsort of the flat rows keeps each vertex's slots in row (edge id) order
+        flat = self.rows.ravel()
+        ids = (np.argsort(flat, kind="stable") // self.k).tolist()
+        ends = np.cumsum(np.bincount(flat, minlength=self.n)).tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def cores(self) -> dict[Edge, tuple[int, ...]]:
@@ -287,23 +287,10 @@ def common_degree(
     for x in (u, v):
         if not 0 <= x < g.n:
             raise ValueError(f"vertex {x} out of range 0..{g.n - 1}")
-    if part is None:
-        cross = [True] * len(g)
-    else:
-        _check_partition(g, part)
-        cross = _crossing_mask(g, part.assignment).tolist()
-    # scan edges through the lower-degree endpoint
-    if len(g.vertex_edges[u]) > len(g.vertex_edges[v]):
-        u, v = v, u
-    count = 0
-    for i in g.vertex_edges[u]:
-        e = g.edges[i]
-        if not cross[i] or v in e:
-            continue
-        j = g.edge_ids.get(tuple(sorted(x if x != u else v for x in e)))
-        if j is not None and cross[j]:
-            count += 1
-    return count
+    # t counts exactly when it is an edge of both links
+    if part is not None:
+        g = crossing_edges(g, part).as_hypergraph()
+    return len(link(g, u).edge_set & link(g, v).edge_set)
 
 
 def shadow_graph(h: Hypergraph) -> frozenset[Pair]:

@@ -126,6 +126,11 @@ def sample_gknp(n: int, k: int, p: float, seed: int) -> Hypergraph:
     m = math.comb(n, k)
     if p == 0.0 or p == 1.0:
         return _host(n, k, np.arange(m if p == 1.0 else 0, dtype=np.int64))
+    return _host(n, k, _skip_ranks(m, p, seed))
+
+
+def _skip_ranks(m: int, p: float, seed: int) -> np.ndarray:
+    """The ascending colex ranks the geometric-skip walk takes; its batches die on return."""
     rng = np.random.Generator(np.random.PCG64(seed))
     log1mp = math.log1p(-p)
     batch = max(1024, int(p * m * 1.05) + 16)
@@ -141,7 +146,7 @@ def sample_gknp(n: int, k: int, p: float, seed: int) -> Hypergraph:
         if len(inside) < len(pos_arr):
             break
         pos = int(pos_arr[-1])
-    return _host(n, k, np.concatenate(taken))
+    return np.concatenate(taken)
 
 
 def sample_gknp_bernoulli(n: int, k: int, p: float, seed: int) -> Hypergraph:

@@ -166,6 +166,40 @@ class TestDegrees:
             common_degree(t4(), 2, 2)
 
 
+class TestVertexIndex:
+    """Per-vertex queries read the rows; none of them builds the host's edge tuples."""
+
+    def test_vertex_edges_match_edge_loop(self, rng):
+        hosts = [empty_hypergraph(7, 4), build_hypergraph(9, 3, [{0, 1, 2}, {2, 5, 7}])]
+        for k in (2, 3, 4, 5):
+            hosts += [random_hypergraph(rng, rng.randint(k, 10), k, p=0.4) for _ in range(6)]
+        for h in hosts:
+            index = h.vertex_edges
+            assert index == tuple(
+                tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)
+            )
+            assert all(list(ids) == sorted(set(ids)) for ids in index)
+            assert all(type(i) is int for ids in index for i in ids)
+            assert [h.degree(v) for v in range(h.n)] == [len(ids) for ids in index]
+        assert hosts[1].vertex_edges[3] == () and hosts[1].vertex_edges[2] == (0, 1)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda h, part: h.degree(3),
+            lambda h, part: h.vertex_edges,
+            lambda h, part: link(h, 3),
+            lambda h, part: common_degree(h, 3, 7),
+            lambda h, part: common_degree(h, 3, 7, part),
+        ],
+        ids=["degree", "vertex_edges", "link", "common_degree", "common_degree_part"],
+    )
+    def test_queries_leave_edges_unbuilt(self, query):
+        h = sample_gknp(14, 4, 0.4, derive_seed(4, 4))
+        query(h, turan_partition(14, 4))
+        assert "edges" not in vars(h)
+
+
 class TestShadow:
     def test_single_edge(self):
         h = build_hypergraph(4, 4, [{0, 1, 2, 3}])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
@@ -162,6 +163,18 @@ class TestSampler:
         ranks = sum(tabs[i][rows[:, i]] for i in range(k))
         assert np.array_equal(np.sort(ranks), walk)
         assert g.edges == tuple(sorted(g.edges))
+
+    @pytest.mark.parametrize("n, p", [(64, 0.5), (128, 0.05)])
+    def test_draw_peak_memory_bounded_by_rows(self, n, p):
+        # the walk's batch arrays are freed before the ranks are unranked, so
+        # one draw peaks near 2.75x its rows
+        tracemalloc.start()
+        try:
+            g = sample_gknp(n, 4, p, derive_seed(n, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * g.rows.nbytes
 
     def test_valid_edges(self):
         g = sample_gknp(11, 4, 0.4, derive_seed(8, 8))
