@@ -255,19 +255,27 @@ def _check_partition(g: Hypergraph, part: VertexPartition) -> None:
         )
 
 
+def _class_bits(g: Hypergraph, assignment: Sequence[int]) -> np.ndarray:
+    """(m, k) class bits ``1 << assignment[edge_array]``, in the narrowest
+    unsigned type that holds k bits (uint8 for k <= 8)."""
+    one_hot = (1 << np.arange(g.k)).astype(np.min_scalar_type((1 << g.k) - 1))
+    return one_hot[np.asarray(assignment)][g.edge_array]
+
+
 def _crossing_mask(
     g: Hypergraph, assignment: Sequence[int], bits: np.ndarray | None = None
 ) -> np.ndarray:
     """(m,) bool by edge id: does the edge cross the k-class assignment?
 
     This is the one crossing test.  With r == k classes, "meets every class"
-    is "all classes distinct".  A caller that already holds the class bits
-    ``1 << assignment[edge_array]`` may pass them as ``bits``.  The k
-    columns are folded one by one (``bits.T``): over so short an axis that is
-    about four times faster than ``np.bitwise_or.reduce(bits, axis=1)``.
+    is "all classes distinct", so the union of the edge's class bits has k
+    set bits.  The bits are :func:`_class_bits`, one byte per vertex slot
+    for k <= 8; a caller that already holds them may pass them as ``bits``.
+    The k columns are folded one by one (``bits.T``): over so short an axis
+    that is about four times faster than ``np.bitwise_or.reduce(bits, axis=1)``.
     """
     if bits is None:
-        bits = 1 << np.asarray(assignment, dtype=np.int64)[g.edge_array]
+        bits = _class_bits(g, assignment)
     return np.bitwise_count(reduce(np.bitwise_or, bits.T)) == g.k
 
 

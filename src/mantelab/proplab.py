@@ -201,7 +201,14 @@ def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> Con
 
 def _crossing_degrees(g: Hypergraph, assignment) -> np.ndarray:
     """Per vertex, the number of crossing edges of g through it."""
-    return np.bincount(g.edge_array[_crossing_mask(g, assignment)].ravel(), minlength=g.n)
+    crossing = g.edge_array.compress(_crossing_mask(g, assignment), axis=0)
+    return np.bincount(crossing.ravel(), minlength=g.n)
+
+
+# bytes of the completed-core mask that _core_links builds at one time: it
+# is built one block of vertices at a time, so n=64 (2.7 MB) is one block and
+# n=200 (263 MB) is 17 blocks of 12 vertices
+_MASK_BYTES = 1 << 24
 
 
 def _core_links(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,20 +220,32 @@ def _core_links(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     the 3-sets t with t + u and t + v both rows: the common degree of u, v.
     Bit r of row u is bit r % 64 of word r // 64, whatever the machine's
     byte order.  The bitsets hold n * C(n, 3) / 8 bytes whatever the row
-    count is; they are packed from a transient n * C(n, 3)-byte mask.
+    count is; they are packed from a byte mask of C(n, 3) bytes per vertex,
+    built for at most ``_MASK_BYTES`` bytes of vertices at a time.
     """
     ntrip = math.comb(n, 3)
     width = 64 * -(-ntrip // 64)
     c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
     c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
-    held = np.zeros(n * width, dtype=bool)
+    links = np.empty((n, width // 64), dtype="<u8")
     tcnt = np.zeros(ntrip, dtype=np.int64)
-    for drop in range(4):
-        lo, mid, hi = (rows[:, c] for c in range(4) if c != drop)
-        ranks = c3[hi] + c2[mid] + lo
-        tcnt += np.bincount(ranks, minlength=ntrip)
-        held[rows[:, drop] * width + ranks] = True
-    links = np.packbits(held.reshape(n, width), axis=1, bitorder="little").view("<u8")
+    step = max(1, _MASK_BYTES // width)
+    # with more than one block, the block of each row at each column, held narrow
+    blk = None
+    if step < n:
+        blk = rows.T.astype(np.min_scalar_type(n - 1), order="C")
+        blk //= step
+    for v0 in range(0, n, step):
+        held = np.zeros(min(step, n - v0) * width, dtype=bool)
+        for drop in range(4):
+            block = rows if blk is None else rows.compress(blk[drop] == v0 // step, axis=0)
+            lo, mid, hi = (block[:, c] for c in range(4) if c != drop)
+            ranks = c3[hi] + c2[mid] + lo
+            np.add.at(tcnt, ranks, 1)
+            held[(block[:, drop] - v0) * width + ranks] = True
+        packed = np.packbits(held.reshape(-1, width), axis=1, bitorder="little")
+        links[v0:v0 + step] = packed.view("<u8")
+        del held, packed  # before the next block's are allocated
     return links, tcnt
 
 
@@ -239,8 +258,9 @@ def _pair_codegrees(tcnt: np.ndarray, n: int) -> np.ndarray:
     """
     c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
     lo, mid, hi = _unrank_batch(np.arange(len(tcnt)), 3, n).T
-    pairs = np.concatenate([c2[mid] + lo, c2[hi] + lo, c2[hi] + mid])
-    sums = np.bincount(pairs, weights=np.tile(tcnt, 3), minlength=math.comb(n, 2))
+    npairs = math.comb(n, 2)
+    sums = sum(np.bincount(c2[b] + a, weights=tcnt, minlength=npairs)
+               for a, b in ((lo, mid), (lo, hi), (mid, hi)))
     return sums.astype(np.int64) // 2
 
 
@@ -270,9 +290,9 @@ def concentration_report(
 
     Common degrees come from one bitset of completed cores per vertex
     (:func:`_core_links`), about 5.5 MB at n=128 whatever p is, packed from
-    a transient n * C(n, 3)-byte mask (2.7 MB at n=64, 44 MB at n=128).
-    Pair co-degrees are summed from the 3-set co-degrees
-    (:func:`_pair_codegrees`).
+    a transient byte mask of at most ``_MASK_BYTES`` (16 MB) at a time.
+    Vertex degrees are the bitsets' row popcounts.  Pair co-degrees are
+    summed from the 3-set co-degrees (:func:`_pair_codegrees`).
     """
     if g.k != 4:
         raise ValueError(f"concentration rows are defined for k=4, got k={g.k}")
@@ -284,7 +304,8 @@ def concentration_report(
     E = g.edge_array
     links, tcnt = _core_links(E, n)
     pcnt = _pair_codegrees(tcnt, n)
-    dcnt = np.bincount(E.ravel(), minlength=n)
+    # each row through u sets exactly one bit of links[u], so its popcount is u's degree
+    dcnt = np.bitwise_count(links).sum(axis=1, dtype=np.int64)
     common = _pair_commons(links, list(range(n)))
 
     rows = [
@@ -344,7 +365,7 @@ def low_pairs(
     first = sorted(part.classes[0])
     # a first-class vertex x completes the core e - x of each crossing edge e
     # through it, so the bitset popcount is the common crossing degree
-    links, _ = _core_links(g.edge_array[_crossing_mask(g, part.assignment)], g.n)
+    links, _ = _core_links(g.edge_array.compress(_crossing_mask(g, part.assignment), axis=0), g.n)
     counts = _pair_commons(links, first)
     low = frozenset(pr for pr, c in zip(combinations(first, 2), counts) if c < threshold)
     return LowPairReport(threshold=threshold, pairs=low)

@@ -77,30 +77,42 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
 
 
 def _unrank_batch(ranks: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Vectorized colex unranking; returns an (m, k) array with ascending rows."""
+    """Vectorized colex unranking; returns an (m, k) array with ascending rows.
+
+    The ranks must ascend, as the skip walk, ``nonzero`` and ``arange`` give
+    them.  Then the top column ascends too: it is each x repeated once per
+    rank in [C(x, k), C(x + 1, k)), found by one ``searchsorted`` of the
+    table steps among the ranks.
+    """
     cols = np.empty((len(ranks), k), dtype=np.int64)
-    r = ranks.astype(np.int64, copy=True)
-    for i in range(k, 1, -1):
+    tab = np.array([math.comb(x, k) for x in range(n + 1)], dtype=np.int64)
+    s = np.repeat(np.arange(n), np.diff(np.searchsorted(ranks, tab)))
+    cols[:, k - 1] = s
+    r = ranks - tab.take(s)
+    for i in range(k - 1, 1, -1):
         tab = np.array([math.comb(x, i) for x in range(n + 1)], dtype=np.int64)
         s = np.searchsorted(tab, r, side="right") - 1
         cols[:, i - 1] = s
-        r -= tab[s]
+        r -= tab.take(s)
     # C(s, 1) = s, so the lowest element is the remaining rank itself
     cols[:, 0] = r
     return cols
 
 
 def _host(n: int, k: int, ranks: np.ndarray) -> Hypergraph:
-    """The hypergraph whose edges have the given colex ranks, rows in lex order."""
+    """The hypergraph whose edges have the given ascending colex ranks, rows in lex order."""
     rows = _unrank_batch(ranks, k, n)
-    # Lex order of the rows is descending colex order of their mirror images
-    # {n-1-v}, whose ranks fit in int64 whenever C(n, k) does: one argsort of
-    # the negated ranks, which gives take a contiguous index.
-    neg_mirror = np.zeros(len(rows), dtype=np.int64)
-    for i in range(k):
-        tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
-        neg_mirror -= tab[n - 1 - rows[:, i]]
-    return Hypergraph(n, k, rows.take(np.argsort(neg_mirror), axis=0))
+    del ranks  # freed here when the caller passed its only reference
+    # Ascending colex ranks order the rows by their last column, then the one
+    # before it, and so on.  So stable argsorts by columns k-2 down to 0 put
+    # them in lex order; on columns cast to the narrowest type that holds a
+    # vertex, numpy sorts by radix.  Rows are distinct, so the order is unique.
+    narrow = rows.astype(np.min_scalar_type(n - 1))
+    perm = np.argsort(narrow[:, k - 2], kind="stable")
+    for c in range(k - 3, -1, -1):
+        perm = perm.take(np.argsort(narrow[:, c].take(perm), kind="stable"))
+    del narrow
+    return Hypergraph(n, k, rows.take(perm, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +149,18 @@ def _skip_ranks(m: int, p: float, seed: int) -> np.ndarray:
     taken: list[np.ndarray] = []
     pos = -1
     while pos < m:
+        # floor(log1p(-u) / log1mp) capped at m + 1, each step done in place
         u = rng.random(batch)
-        g = np.floor(np.log1p(-u) / log1mp)
-        g = np.minimum(g, float(m + 1)).astype(np.int64)
-        pos_arr = pos + np.cumsum(g + 1)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, log1mp, out=u)
+        np.floor(u, out=u)
+        np.minimum(u, float(m + 1), out=u)
+        pos_arr = u.astype(np.int64)
+        del u
+        pos_arr += 1
+        np.cumsum(pos_arr, out=pos_arr)
+        pos_arr += pos
         inside = pos_arr[pos_arr < m]
         taken.append(inside)
         if len(inside) < len(pos_arr):

@@ -24,6 +24,7 @@ from .hypergraph import (
     Hypergraph,
     VertexPartition,
     _check_partition,
+    _class_bits,
     _crossing_mask,
 )
 # count_T is not called here but stays an attribute of this module, where
@@ -143,24 +144,27 @@ def _local_cut_pass(h: Hypergraph, assignment: list[int]) -> tuple[int, list[int
     (edge, position) cases for (v, c) minus the crossing edges through v,
     which is 0 for v's own class.  Returns (value, assignment, moves).
 
-    All positions are scored in one pass: ``other[:, d]`` is the sum of the
-    class bits at the other k - 1 positions.  A sum of k - 1 powers of two
+    All positions are scored in one pass: ``other`` holds, per edge and
+    position d (flattened), the sum of the class bits at the other k - 1
+    positions.  A sum of k - 1 powers of two
     has k - 1 set bits exactly when they are distinct (a repeat carries), and
     then it is their union, so the missing class is the index of the bit
-    ``full ^ other``.
+    ``full ^ other``.  The sums stay below 1 << k, so they fit the narrow
+    type of :func:`_class_bits`, and the gains are exact integers.
     """
     e, n, k = h.edge_array, h.n, h.k
     full = (1 << k) - 1
     a = np.array(assignment, dtype=np.int64)
     moves = 0
     while True:
-        bits = 1 << a[e]
+        bits = _class_bits(h, a)
         cross = _crossing_mask(h, a, bits)
-        other = reduce(np.add, bits.T)[:, None] - bits
+        other = (reduce(np.add, bits.T)[:, None] - bits).ravel()
         free = np.bitwise_count(other) == k - 1
-        hits = e[free] * k + np.bitwise_count((full ^ other[free]) - 1)
+        missing = np.bitwise_count((full ^ other.compress(free)) - 1)
+        hits = e.ravel().compress(free) * k + missing
         gain = np.bincount(hits, minlength=n * k).reshape(n, k)
-        gain -= np.bincount(e[cross].reshape(-1), minlength=n)[:, None]
+        gain -= np.bincount(e.compress(cross, axis=0).ravel(), minlength=n)[:, None]
         # own classes read 0, so a positive maximum is a move; argmax takes the
         # lowest (vertex, class) among ties
         best = int(gain.argmax())

@@ -9,6 +9,7 @@ from mantelab.hypergraph import (
     EdgeSet,
     Hypergraph,
     VertexPartition,
+    _class_bits,
     _crossing_mask,
     build_hypergraph,
     common_degree,
@@ -329,6 +330,21 @@ class TestCrossingOracle:
                 assert common_degree(h, u, v) == sum(
                     a in h.edge_set and b in h.edge_set for a, b in both
                 )
+
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_mask_matches_tuple_recount(self, rng, k):
+        # the class bits take one byte up to k = 8, and two at k = 9
+        hosts = [complete_hypergraph(k + 1, k)]
+        hosts += [random_hypergraph(rng, rng.randint(k, k + 3), k, p=0.6) for _ in range(8)]
+        for h in hosts:
+            labels = [rng.randrange(k) for _ in range(h.n)]
+            bits = _class_bits(h, labels)
+            assert bits.dtype == (np.uint8 if k <= 8 else np.uint16)
+            assert bits.tolist() == [[1 << labels[v] for v in e] for e in h.edges]
+            want = [len({labels[v] for v in e}) == k for e in h.edges]
+            assert _crossing_mask(h, labels).tolist() == want
+            assert _crossing_mask(h, labels, bits).tolist() == want
 
 
 class TestEdgeSet:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ from mantelab.hypergraph import (
     partition_from_classes,
     shadow_graph,
 )
+import mantelab.proplab
 from mantelab.motifs import generalized_triangle
 from mantelab.proplab import (
     AuditConstants,
@@ -256,6 +258,44 @@ class TestConcentration:
         assert links.dtype == np.dtype("<u8") and links.shape == (n, nwords)
         assert links.tolist() == words
         assert tcnt.tolist() == [sum(colex_rank(t) in c for c in cores) for t in triples]
+
+    @pytest.mark.parametrize("rows, n", KERNEL_HOSTS)
+    def test_link_popcounts_are_vertex_degrees(self, rows, n):
+        links, _ = _core_links(rows, n)
+        degrees = np.bincount(rows.ravel(), minlength=n)
+        assert np.bitwise_count(links).sum(axis=1).tolist() == degrees.tolist()
+
+    def test_report_vertex_degree_row_from_link_popcounts(self):
+        g = sample_gknp(40, 4, 0.3, derive_seed(40, 6))
+        degrees = np.bincount(g.edge_array.ravel(), minlength=40)
+        row = concentration_report(g, 0.3, equal_parts(40)).rows["vertex_degree"]
+        assert (row.observed_min, row.observed_max) == (degrees.min(), degrees.max())
+
+    def test_core_links_in_blocks_of_vertices(self):
+        # n=128 needs a 44 MB mask: three blocks of at most 16 MB
+        n = 128
+        g = sample_gknp(n, 4, 3e-4, derive_seed(n, 9))
+        width = 64 * -(-math.comb(n, 3) // 64)
+        assert n * width > 2 * mantelab.proplab._MASK_BYTES
+        tracemalloc.start()
+        try:
+            links, tcnt = _core_links(g.edge_array, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want_links = np.zeros((n, width // 64), dtype=np.uint64)
+        want_tcnt = np.zeros(math.comb(n, 3), dtype=np.int64)
+        for e in g.edges:
+            for u in e:
+                r = colex_rank(set(e) - {u})
+                want_links[u, r // 64] |= np.uint64(1 << (r % 64))
+                want_tcnt[r] += 1
+        assert len(g) > 3000
+        assert np.array_equal(links, want_links)
+        assert np.array_equal(tcnt, want_tcnt)
+        # the outputs, one block's mask and its packed bits (27 MB in all);
+        # the whole mask alone would be 44 MB
+        assert peak <= links.nbytes + tcnt.nbytes + 1.5 * mantelab.proplab._MASK_BYTES
 
     @pytest.mark.parametrize("rows, n", KERNEL_HOSTS)
     def test_pair_codegrees_match_naive_count(self, rows, n):

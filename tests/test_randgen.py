@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mantelab.hypergraph import complete_hypergraph, to_text
 from mantelab.randgen import (
+    _host,
+    _skip_ranks,
     _unrank_batch,
     colex_rank,
     colex_unrank,
@@ -61,6 +63,28 @@ class TestColexOrder:
         ranks = sorted(r for r in ranks if 0 <= r < m)
         got = _unrank_batch(np.array(ranks, dtype=np.int64), k, n)
         assert got.tolist() == [list(colex_unrank(r, k)) for r in ranks]
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(12, 2), (12, 3), (12, 4), (12, 5), (30, 5), (40, 3),
+         # n > 256: the sort keys take two bytes
+         (300, 2), (600, 2)],
+    )
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_host_rows_match_mirror_rank_order(self, n, k, p):
+        # the lex order as one argsort of the negated colex ranks of the
+        # mirror images {n-1-v}
+        m = math.comb(n, k)
+        ranks = np.flatnonzero(np.random.Generator(np.random.PCG64(n + k)).random(m) < p)
+        rows = _unrank_batch(ranks, k, n)
+        neg_mirror = np.zeros(len(rows), dtype=np.int64)
+        for i in range(k):
+            tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
+            neg_mirror -= tab[n - 1 - rows[:, i]]
+        want = rows[np.argsort(neg_mirror)]
+        got = _host(n, k, ranks).rows
+        assert got.dtype == np.int64 and got.shape == (len(ranks), k)
+        assert np.array_equal(got, want)
 
     def test_order_matches_reversed_lex(self):
         # colex order of k-subsets is lexicographic order of reversed tuples
@@ -166,15 +190,31 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, p", [(64, 0.5), (128, 0.05)])
     def test_draw_peak_memory_bounded_by_rows(self, n, p):
-        # the walk's batch arrays are freed before the ranks are unranked, so
-        # one draw peaks near 2.75x its rows
+        # the walk's batch arrays and the ranks are freed before the rows are
+        # ordered, and the order is sorted on one-byte keys, so one draw peaks
+        # at 2.25x its rows: the unranked rows, their permutation and the copy
         tracemalloc.start()
         try:
             g = sample_gknp(n, 4, p, derive_seed(n, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * g.rows.nbytes
+        assert peak <= 2.3 * g.rows.nbytes
+
+    @pytest.mark.parametrize("m, p, seed", [(91390, 960 / 91390, 8), (91390, 0.5, 1), (10, 0.3, 2)])
+    def test_skip_ranks_match_out_of_place_walk(self, m, p, seed):
+        # the in-place steps give the same doubles as the plain expressions
+        rng = np.random.Generator(np.random.PCG64(seed))
+        batch = max(1024, int(p * m * 1.05) + 16)
+        taken, pos = [], -1
+        while pos < m:
+            g = np.floor(np.log1p(-rng.random(batch)) / math.log1p(-p))
+            pos_arr = pos + np.cumsum(np.minimum(g, float(m + 1)).astype(np.int64) + 1)
+            taken.append(pos_arr[pos_arr < m])
+            if len(taken[-1]) < batch:
+                break
+            pos = int(pos_arr[-1])
+        assert np.array_equal(_skip_ranks(m, p, seed), np.concatenate(taken))
 
     def test_valid_edges(self):
         g = sample_gknp(11, 4, 0.4, derive_seed(8, 8))

@@ -543,6 +543,27 @@ def loop_local_cut_pass(h, assignment):
         moves += 1
 
 
+def int64_local_cut_pass(h, assignment):
+    """The local cut pass on int64 class bits, gathered by boolean indexing."""
+    e, n, k = h.edge_array, h.n, h.k
+    full = (1 << k) - 1
+    a = np.array(assignment, dtype=np.int64)
+    moves = 0
+    while True:
+        bits = 1 << a[e]
+        cross = np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)) == k
+        other = bits.sum(axis=1)[:, None] - bits
+        free = np.bitwise_count(other) == k - 1
+        hits = e[free] * k + np.bitwise_count((full ^ other[free]) - 1)
+        gain = np.bincount(hits, minlength=n * k).reshape(n, k)
+        gain -= np.bincount(e[cross].reshape(-1), minlength=n)[:, None]
+        best = int(gain.argmax())
+        if gain.flat[best] <= 0:
+            return int(cross.sum()), a.tolist(), moves
+        a[best // k] = best % k
+        moves += 1
+
+
 class TestArrayKernels:
     """The array greedy and local cut against their plain-loop references."""
 
@@ -613,6 +634,21 @@ class TestArrayKernels:
             h = random_hypergraph(rng, rng.randint(k, 11), k, p=rng.uniform(0.05, 0.9))
             start = [rng.randrange(k) for _ in range(h.n)]
             assert _local_cut_pass(h, start) == loop_local_cut_pass(h, start)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_local_cut_pass_matches_int64_bits(self, rng, k):
+        # hosts too large for the plain loop, climbing for many moves
+        from mantelab.solvers import _local_cut_pass
+
+        total_moves = 0
+        for i in range(6):
+            n = rng.randint(16, 40)
+            h = sample_gknp(n, k, rng.uniform(0.05, 0.5), derive_seed(k, i))
+            start = [rng.randrange(k) for _ in range(n)]
+            got = _local_cut_pass(h, start)
+            assert got == int64_local_cut_pass(h, start)
+            total_moves += got[2]
+        assert total_moves >= 20
 
 
 class TestCut4Exact:
