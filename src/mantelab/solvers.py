@@ -259,6 +259,21 @@ def _cut4_search(
     where slack = max over splits of r of prod(sizes[c] + r_c) - prod(sizes).
     The slack depends on ``sizes`` alone and is memoised per call.  A node
     is pruned when either bound is at most the incumbent.
+
+    Each node is admitted by its parent, in the branch loop: the parent
+    stops at an all-crossing incumbent, ticks the child, counts its
+    crossing edges and checks the class-size bound, and it builds the
+    child's ``s`` and recurses only when the child survives.  The root is
+    admitted the same way, so the ticks, and with them the node counts and
+    budget stops, fall as if each node checked itself on entry.
+
+    The demand bound is decided cheapest first.  Let base = crossing +
+    loose and o = |open3|.  An open edge has one free vertex and misses one
+    class, so a free vertex's four demands sum to its open edges, and those
+    sum to o over the free vertices: the demand term lies between
+    ceil(o / 4) and o.  So the node is pruned when base + o is at most the
+    incumbent, kept when base + ceil(o / 4) is above it, and otherwise the
+    per-vertex sum stops at the first vertex that lifts the bound above it.
     """
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
@@ -271,54 +286,66 @@ def _cut4_search(
 
     def dfs(
         pos: int, used: int, sizes: tuple[int, ...], s: tuple[int, ...],
-        a1: int, a2: int, a3: int, a4: int, dead: int,
+        a1: int, a2: int, a3: int, a4: int, dead: int, cross: int,
     ) -> None:
-        if best["value"] == m:
-            return
-        ticker.tick()
-        cross = (a4 & ~dead).bit_count()
-        if sizes not in slack:
-            slack[sizes] = _max_class_product(sizes, n - pos) - math.prod(sizes)
-        if cross + slack[sizes] <= best["value"]:
-            return
-        bound = cross + m - (a3 | dead).bit_count()
+        # the node is admitted: its parent ticked it and passed its class-size bound
+        base = cross + m - (a3 | dead).bit_count()
         open3 = a3 & ~(a4 | dead)
-        if open3:
+        need = best["value"] - base  # the demand term must exceed this
+        o = open3.bit_count()
+        if o <= need:
+            return
+        if (o + 3) >> 2 <= need:
             n0, n1, n2, n3 = (open3 & ~sc for sc in s)
             for u in order[pos:]:
                 eu = ve[u]
                 if eu & open3:
-                    bound += max(
+                    need -= max(
                         (eu & n0).bit_count(), (eu & n1).bit_count(),
                         (eu & n2).bit_count(), (eu & n3).bit_count(),
                     )
-        if bound <= best["value"]:
-            return
+                    if need < 0:
+                        break
+            else:
+                return
         if pos == n:  # every edge is assigned, so the bound is the crossing count
             best["value"] = cross
             best["assign"] = tuple(cur)
             return
         v = order[pos]
         e = ve[v]
-        limit = min(used + 1, 4) if use_symmetry else 4
-        for c in range(limit):
-            cur[v] = c
+        b1, b2, b3, b4 = a1 | e, a2 | (a1 & e), a3 | (a2 & e), a4 | (a3 & e)
+        for c in range(min(used + 1, 4) if use_symmetry else 4):
+            if best["value"] == m:
+                return
+            ticker.tick()
             sc = s[c]
+            cdead = dead | (sc & e)
+            ccross = (b4 & ~cdead).bit_count()
+            csizes = sizes[:c] + (sizes[c] + 1,) + sizes[c + 1:]
+            room = slack.get(csizes)
+            if room is None:
+                room = slack[csizes] = _max_class_product(csizes, n - pos - 1) - math.prod(csizes)
+            if ccross + room <= best["value"]:
+                continue
+            cur[v] = c
             dfs(
-                pos + 1,
-                max(used, c + 1),
-                sizes[:c] + (sizes[c] + 1,) + sizes[c + 1:],
-                s[:c] + (sc | e,) + s[c + 1:],
-                a1 | e,
-                a2 | (a1 & e),
-                a3 | (a2 & e),
-                a4 | (a3 & e),
-                dead | (sc & e),
+                pos + 1, max(used, c + 1), csizes, s[:c] + (sc | e,) + s[c + 1:],
+                b1, b2, b3, b4, cdead, ccross,
             )
 
-    # dfs nests once per assigned vertex, n + 1 deep, plus its leaf calls
-    budget_hit = ticker.run(dfs, n + 2, 0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
-    del dfs  # dfs holds its own cell: break the cycle so its state is freed now
+    def root() -> None:
+        # the root's admission, as dfs admits each child
+        if value == m:
+            return
+        ticker.tick()
+        if _max_class_product((0, 0, 0, 0), n) > value:
+            dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0, 0)
+
+    # root, then dfs nested once per assigned vertex, n + 1 deep; a leaf
+    # makes no call, so the calls of the frames above it reach no deeper
+    budget_hit = ticker.run(root, n + 2)
+    del dfs, root  # dfs holds its own cell: break the cycle so its state is freed now
     return best["value"], best["assign"], budget_hit
 
 
@@ -517,7 +544,10 @@ def max_tfree_exact(
     each packed copy clears the masks of its two undecided edges (its third
     is kept) from the candidates, and those masks gather in ``blocked``.
     Then, over ``live & ~k1 & ~blocked``, each packed copy (a, b, c), all
-    undecided, clears ``cm[a] | cm[b] | cm[c]``.
+    undecided, clears ``cm[a] | cm[b] | cm[c]``.  The node is pruned when
+    the packing reaches m - deleted - incumbent copies, and the packing only
+    grows, so it stops there; a node with nothing to spare is pruned before
+    it packs at all.
 
     Memory is O(edges * copies) bits, with no per-copy conflict mask.  To
     guard it, the copy scan stops with ValueError at the first block of
@@ -568,7 +598,9 @@ def max_tfree_exact(
 
     def search(live: int, k1: int, ndel: int) -> None:
         ticker.tick()
-        packing = 0
+        need = m - ndel - best["value"]  # a packing this large prunes the node
+        if need <= 0:
+            return
         blocked = 0
         cand = live & k1
         while cand:
@@ -581,14 +613,16 @@ def max_tfree_exact(
                 spent = cm[x] | cm[y]
             cand &= ~spent
             blocked |= spent
-            packing += 1
+            need -= 1
+            if not need:
+                return
         cand = live & ~k1 & ~blocked
         while cand:
             a, b, c = triples[(cand & -cand).bit_length() - 1]
             cand &= ~(cm[a] | cm[b] | cm[c])
-            packing += 1
-        if m - ndel - packing <= best["value"]:
-            return
+            need -= 1
+            if not need:
+                return
         open_copies = live & k1 or live & ~k1
         if not open_copies:
             keep = [e for e in range(m) if status[e] != DEL]

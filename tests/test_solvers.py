@@ -355,6 +355,11 @@ _GOLDEN_CUT = [
     # the root cannot close here, so a budget returns the seed uncertified
     ("gknp-10-0.5-0", 1, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 2),
     ("gknp-10-0.5-0", 300, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 301),
+    # dense hosts, where most nodes fall to the class-size bound; recorded
+    # before the parent began to admit its children
+    ("gknp-11-0.7-0", None, True, 51, (1, 3, 2, 2, 0, 2, 1, 3, 0, 3, 0), True, 9905),
+    ("gknp-11-0.85-1", None, True, 53, (2, 1, 3, 3, 0, 0, 0, 2, 2, 3, 1), True, 5557),
+    ("gknp-11-0.7-0", 300, True, 50, (2, 1, 3, 3, 0, 3, 2, 0, 0, 1, 1), False, 301),
 ]
 
 
@@ -375,6 +380,229 @@ class TestCut4ExactGolden:
         assert res.optimal is optimal
         assert res.stats.nodes == nodes
         assert res.stats.budget_hit is (not optimal)
+
+
+def entry_checked_cut4_search(h, ticker, value, assign, use_symmetry):
+    """_cut4_search as it was before each parent admitted its children:
+    every node ticks and checks its own class-size bound on entry, and the
+    demand bound sums every free vertex.  Kept verbatim as the reference."""
+    from mantelab.solvers import _incidence_masks, _max_class_product
+
+    if h.k != 4:
+        raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
+    n, m = h.n, len(h)
+    ve = _incidence_masks(n, h.edge_array.tolist())
+    order = sorted(range(n), key=lambda v: (-ve[v].bit_count(), v))
+    best = {"value": value, "assign": assign}
+    cur = [-1] * n
+    slack: dict[tuple[int, ...], int] = {}
+
+    def dfs(
+        pos: int, used: int, sizes: tuple[int, ...], s: tuple[int, ...],
+        a1: int, a2: int, a3: int, a4: int, dead: int,
+    ) -> None:
+        if best["value"] == m:
+            return
+        ticker.tick()
+        cross = (a4 & ~dead).bit_count()
+        if sizes not in slack:
+            slack[sizes] = _max_class_product(sizes, n - pos) - math.prod(sizes)
+        if cross + slack[sizes] <= best["value"]:
+            return
+        bound = cross + m - (a3 | dead).bit_count()
+        open3 = a3 & ~(a4 | dead)
+        if open3:
+            n0, n1, n2, n3 = (open3 & ~sc for sc in s)
+            for u in order[pos:]:
+                eu = ve[u]
+                if eu & open3:
+                    bound += max(
+                        (eu & n0).bit_count(), (eu & n1).bit_count(),
+                        (eu & n2).bit_count(), (eu & n3).bit_count(),
+                    )
+        if bound <= best["value"]:
+            return
+        if pos == n:  # every edge is assigned, so the bound is the crossing count
+            best["value"] = cross
+            best["assign"] = tuple(cur)
+            return
+        v = order[pos]
+        e = ve[v]
+        limit = min(used + 1, 4) if use_symmetry else 4
+        for c in range(limit):
+            cur[v] = c
+            sc = s[c]
+            dfs(
+                pos + 1,
+                max(used, c + 1),
+                sizes[:c] + (sizes[c] + 1,) + sizes[c + 1:],
+                s[:c] + (sc | e,) + s[c + 1:],
+                a1 | e,
+                a2 | (a1 & e),
+                a3 | (a2 & e),
+                a4 | (a3 & e),
+                dead | (sc & e),
+            )
+
+    # dfs nests once per assigned vertex, n + 1 deep, plus its leaf calls
+    budget_hit = ticker.run(dfs, n + 2, 0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0)
+    del dfs  # dfs holds its own cell: break the cycle so its state is freed now
+    return best["value"], best["assign"], budget_hit
+
+
+def full_packing_tfree_exact(h, budget):
+    """max_tfree_exact's search as it was before the packing stopped once it
+    decided: every node packs in full, then compares.  Kept verbatim as the
+    reference; returns (value, sorted witness ids, nodes, budget_hit)."""
+    from mantelab.motifs import t_copy_triples
+    from mantelab.solvers import DEL, KEPT, UNDEC, _incidence_masks, _tfree_incumbent, _Ticker
+
+    ticker = _Ticker(budget)
+    m = len(h)
+    triples = t_copy_triples(h)
+    if not len(triples):
+        return m, tuple(range(m)), 0, False
+    incumbent = _tfree_incumbent(h, triples, None, 1, None)
+    best = {"value": len(incumbent), "keep": incumbent}
+    triples = triples.tolist()  # the search reads single rows, which lists serve faster
+
+    cm = _incidence_masks(m, triples)
+    participation = [c.bit_count() for c in cm]
+    status = [UNDEC] * m
+
+    def search(live: int, k1: int, ndel: int) -> None:
+        ticker.tick()
+        packing = 0
+        blocked = 0
+        cand = live & k1
+        while cand:
+            x, y, z = triples[(cand & -cand).bit_length() - 1]
+            if status[x] == KEPT:
+                spent = cm[y] | cm[z]
+            elif status[y] == KEPT:
+                spent = cm[x] | cm[z]
+            else:
+                spent = cm[x] | cm[y]
+            cand &= ~spent
+            blocked |= spent
+            packing += 1
+        cand = live & ~k1 & ~blocked
+        while cand:
+            a, b, c = triples[(cand & -cand).bit_length() - 1]
+            cand &= ~(cm[a] | cm[b] | cm[c])
+            packing += 1
+        if m - ndel - packing <= best["value"]:
+            return
+        open_copies = live & k1 or live & ~k1
+        if not open_copies:
+            keep = [e for e in range(m) if status[e] != DEL]
+            if len(keep) > best["value"]:
+                best["value"] = len(keep)
+                best["keep"] = keep
+            return
+        pick = open_copies & -open_copies
+        branch = sorted(
+            (e for e in triples[pick.bit_length() - 1] if status[e] == UNDEC),
+            key=lambda e: (-participation[e], e),
+        )
+        assigned_here: list[int] = []
+        for e in branch:
+            if not live & pick:
+                # an earlier keep's propagation resolved the picked copy, so
+                # the remaining space is unconstrained by it: recurse once
+                search(live, k1, ndel)
+                break
+            status[e] = DEL
+            search(live & ~cm[e], k1, ndel + 1)
+            status[e] = KEPT
+            assigned_here.append(e)
+            hit = cm[e] & live
+            forced = hit & k1
+            k1 |= hit
+            while forced:
+                for x in triples[(forced & -forced).bit_length() - 1]:
+                    if status[x] == UNDEC:
+                        break
+                status[x] = DEL
+                assigned_here.append(x)
+                live &= ~cm[x]
+                ndel += 1
+                forced &= live
+        # keeping the last undecided edge of the pick is never tried: keeping
+        # the one before it deletes it, so the loop ends at a resolved pick
+        for x in assigned_here:
+            status[x] = UNDEC
+
+    budget_hit = ticker.run(search, m + 2, (1 << len(triples)) - 1, 0, 0)
+    del search
+    return best["value"], tuple(sorted(best["keep"])), ticker.nodes, budget_hit
+
+
+def _oracle_hosts():
+    """One binomial k = 4 host per n in 5..12 and p in {0.3, 0.5, 0.7, 0.9, 1.0}."""
+    return [
+        (n, p, sample_gknp(n, 4, p, derive_seed(29, 8 * n + j)))
+        for n in range(5, 13)
+        for j, p in enumerate((0.3, 0.5, 0.7, 0.9, 1.0))
+    ]
+
+
+class TestSearchesMatchEntryChecks:
+    """Admitting children in the parent, deciding the demand bound cheapest
+    first and stopping the packing once it decides must leave every
+    decision, and so every value, witness, node count and budget stop, as
+    the searches that checked each node on entry left them."""
+
+    BUDGETS = (1, 2, 17, 300)
+
+    def test_cut4_search(self):
+        from mantelab.solvers import _cut4_search, _kpartite_local, _Ticker
+
+        stops, answers = set(), set()
+        for n, p, h in _oracle_hosts():
+            seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
+            for use_symmetry in (True, False):
+                # unbudgeted where the reference finishes in well under a second
+                unbudgeted = n <= (11 if use_symmetry else 8)
+                for max_nodes in (None, *self.BUDGETS) if unbudgeted else self.BUDGETS:
+                    # the exact cut's start, then is_4partite's feasibility start
+                    for value, assign in ((seed_value, seed_assign), (len(h) - 1, ())):
+                        args = (value, assign, use_symmetry)
+                        want_tick, got_tick = _Ticker(Budget(max_nodes)), _Ticker(Budget(max_nodes))
+                        want = entry_checked_cut4_search(h, want_tick, *args)
+                        got = _cut4_search(h, got_tick, *args)
+                        assert (got, got_tick.nodes) == (want, want_tick.nodes), (n, p, max_nodes)
+                        stops.add(want[2])
+            for max_nodes in (None, *self.BUDGETS) if n <= 11 else self.BUDGETS:
+                budget = Budget(max_nodes)
+                value, _, hit = entry_checked_cut4_search(h, _Ticker(budget), len(h) - 1, (), True)
+                want = True if value == len(h) else None if hit else False
+                assert is_4partite(h, budget) is want, (n, p, max_nodes)
+                answers.add(want)
+        assert stops == {True, False} and answers == {True, False, None}
+
+    @pytest.mark.parametrize("incumbent", ["greedy", "empty"])
+    def test_tfree_search(self, monkeypatch, incumbent):
+        # from an empty incumbent the search finds and improves solutions of
+        # its own, where a packing stopped one copy early prunes the optimum
+        import mantelab.solvers
+
+        if incumbent == "empty":
+            monkeypatch.setattr(mantelab.solvers, "_tfree_incumbent", lambda *args: [])
+        for n, p, h in _oracle_hosts():
+            if n > 10:
+                continue
+            # unbudgeted where the reference finishes in well under a second
+            unbudgeted = n <= 9 and count_T(h) <= 2500
+            budgets = (None, *self.BUDGETS) if unbudgeted else self.BUDGETS
+            for max_nodes in budgets:
+                want = full_packing_tfree_exact(h, Budget(max_nodes))
+                res = max_tfree_exact(h, Budget(max_nodes))
+                got = (
+                    res.value, tuple(sorted(res.witness.indices)),
+                    res.stats.nodes, res.stats.budget_hit,
+                )
+                assert got == want, (n, p, max_nodes)
 
 
 def _sha(rows) -> str:
@@ -769,7 +997,11 @@ class TestSearchStateFreed:
     that would keep its masks and copy lists until a cyclic collection; the
     solvers break it at return, so nothing waits for the collector."""
 
-    CLOSURES = {"_cut4_search.<locals>.dfs", "max_tfree_exact.<locals>.search"}
+    CLOSURES = {
+        "_cut4_search.<locals>.dfs",
+        "_cut4_search.<locals>.root",
+        "max_tfree_exact.<locals>.search",
+    }
 
     def test_no_search_closure_outlives_its_call(self):
         host = sample_gknp(9, 4, 0.4, derive_seed(1, 0))
