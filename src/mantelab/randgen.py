@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# The skip walk's positions stay below 2m + 2 (a position below m plus a step
+# of at most m + 2), so int64 holds them for every universe of m < 2^62 subsets.
+_RANK_LIMIT = 1 << 62
 
 
 def _mix64(z: int) -> int:
@@ -76,43 +80,76 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unrank_batch(ranks: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Vectorized colex unranking; returns an (m, k) array with ascending rows.
+def _comb_table(i: int, n: int) -> np.ndarray:
+    """C(x, i) for x in 0..n, capped at the rank limit, which no rank reaches."""
+    return np.array([min(math.comb(x, i), _RANK_LIMIT) for x in range(n + 1)], dtype=np.int64)
+
+
+def _unrank_columns(ranks: np.ndarray, k: int, n: int) -> Iterator[np.ndarray]:
+    """Vectorized colex unranking; yields the int64 columns k-1 down to 0.
 
     The ranks must ascend, as the skip walk, ``nonzero`` and ``arange`` give
     them.  Then the top column ascends too: it is each x repeated once per
     rank in [C(x, k), C(x + 1, k)), found by one ``searchsorted`` of the
-    table steps among the ranks.
+    table steps among the ranks.  Each lower column is one ``searchsorted``
+    of the remaining ranks in its table, and C(s, 1) = s makes the lowest
+    column the remaining rank itself.  The ranks are released once the top
+    column is made, and each yielded column is dropped before the next is
+    made, so a caller that converts each column as it comes holds one at a
+    time.
     """
-    cols = np.empty((len(ranks), k), dtype=np.int64)
-    tab = np.array([math.comb(x, k) for x in range(n + 1)], dtype=np.int64)
+    tab = _comb_table(k, n)
     s = np.repeat(np.arange(n), np.diff(np.searchsorted(ranks, tab)))
-    cols[:, k - 1] = s
-    r = ranks - tab.take(s)
+    r = tab.take(s)
+    np.subtract(ranks, r, out=r)
+    del ranks
     for i in range(k - 1, 1, -1):
-        tab = np.array([math.comb(x, i) for x in range(n + 1)], dtype=np.int64)
-        s = np.searchsorted(tab, r, side="right") - 1
-        cols[:, i - 1] = s
+        yield s
+        del s  # before the next column is allocated
+        tab = _comb_table(i, n)
+        s = np.searchsorted(tab, r, side="right")
+        s -= 1
         r -= tab.take(s)
-    # C(s, 1) = s, so the lowest element is the remaining rank itself
-    cols[:, 0] = r
-    return cols
+    yield s
+    del s
+    yield r
+
+
+def _unrank_batch(ranks: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Vectorized colex unranking of ascending ranks; an (m, k) array with ascending rows."""
+    return np.stack(list(_unrank_columns(ranks, k, n))[::-1], axis=1)
 
 
 def _host(n: int, k: int, ranks: np.ndarray) -> Hypergraph:
-    """The hypergraph whose edges have the given ascending colex ranks, rows in lex order."""
-    rows = _unrank_batch(ranks, k, n)
-    del ranks  # freed here when the caller passed its only reference
-    # Ascending colex ranks order the rows by their last column, then the one
-    # before it, and so on.  So stable argsorts by columns k-2 down to 0 put
-    # them in lex order; on columns cast to the narrowest type that holds a
-    # vertex, numpy sorts by radix.  Rows are distinct, so the order is unique.
-    narrow = rows.astype(np.min_scalar_type(n - 1))
-    perm = np.argsort(narrow[:, k - 2], kind="stable")
-    for c in range(k - 3, -1, -1):
-        perm = perm.take(np.argsort(narrow[:, c].take(perm), kind="stable"))
-    del narrow
-    return Hypergraph(n, k, rows.take(perm, axis=0))
+    """The hypergraph whose edges have the given ascending colex ranks, rows in lex order.
+
+    With b = (n - 1).bit_length(), row column j (0 the lowest vertex) is
+    unranked straight into bits b(k-1-j) and up of one unsigned key, uint32
+    while kb <= 32 and uint64 while kb <= 64.  The keys order as the rows do
+    lexicographically, so one in-place ``np.sort`` of the keys, one shift
+    per column and one mask give the rows in lex order, with no colex row
+    array, permutation or row gather.  Rows are distinct, so the order is
+    unique.  A host with kb > 64 lex-sorts its colex rows.
+    """
+    b = (n - 1).bit_length()
+    if k * b > 64:
+        rows = _unrank_batch(ranks, k, n)
+        return Hypergraph(n, k, rows[np.lexsort(rows.T[::-1])])
+    cols = _unrank_columns(ranks, k, n)
+    del ranks  # freed with the top column when the caller passed its only reference
+    key = next(cols).astype(np.uint32 if k * b <= 32 else np.uint64)
+    for shift in range(b, k * b, b):
+        col = next(cols).astype(key.dtype)
+        col <<= shift
+        key |= col
+    del cols, col  # the suspended generator holds the lowest column until closed
+    key.sort()
+    rows = np.empty((len(key), k), dtype=np.int64)
+    for j in range(k):
+        np.right_shift(key, b * (k - 1 - j), out=rows[:, j])
+    del key
+    rows &= (1 << b) - 1
+    return Hypergraph(n, k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +161,8 @@ def _check_args(n: int, k: int, p: float) -> None:
         raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
+    if math.comb(n, k) >= _RANK_LIMIT:
+        raise ValueError(f"universe of C({n}, {k}) subsets reaches 2^62, beyond int64 ranks")
 
 
 def sample_gknp(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -132,7 +171,9 @@ def sample_gknp(n: int, k: int, p: float, seed: int) -> Hypergraph:
     Subsets are visited in colexicographic order with geometric jumps, so the
     number of uniforms consumed equals the number of edges produced.  The
     degenerate ends p=0 and p=1 consume no randomness.  Identical
-    (n, k, p, seed) always produce the identical edge set.
+    (n, k, p, seed) always produce the identical edge set.  A universe of
+    C(n, k) >= 2^62 subsets raises ``ValueError``: int64 cannot hold its
+    walk's positions.
     """
     _check_args(n, k, p)
     m = math.comb(n, k)
@@ -148,7 +189,7 @@ def _skip_ranks(m: int, p: float, seed: int) -> np.ndarray:
     batch = max(1024, int(p * m * 1.05) + 16)
     taken: list[np.ndarray] = []
     pos = -1
-    while pos < m:
+    while True:
         # floor(log1p(-u) / log1mp) capped at m + 1, each step done in place
         u = rng.random(batch)
         np.negative(u, out=u)
@@ -161,12 +202,13 @@ def _skip_ranks(m: int, p: float, seed: int) -> np.ndarray:
         pos_arr += 1
         np.cumsum(pos_arr, out=pos_arr)
         pos_arr += pos
-        inside = pos_arr[pos_arr < m]
-        taken.append(inside)
-        if len(inside) < len(pos_arr):
-            break
+        # positions ascend up to the first one >= m; later ones may wrap int64
+        end = int(np.argmax(pos_arr >= m))
+        if pos_arr[end] >= m:
+            taken.append(pos_arr[:end])
+            return np.concatenate(taken)
+        taken.append(pos_arr)
         pos = int(pos_arr[-1])
-    return np.concatenate(taken)
 
 
 def sample_gknp_bernoulli(n: int, k: int, p: float, seed: int) -> Hypergraph:

@@ -65,18 +65,29 @@ class TestColexOrder:
         assert got.tolist() == [list(colex_unrank(r, k)) for r in ranks]
 
     @pytest.mark.parametrize(
-        "n, k",
-        [(12, 2), (12, 3), (12, 4), (12, 5), (30, 5), (40, 3),
-         # n > 256: the sort keys take two bytes
-         (300, 2), (600, 2)],
+        "n, k, p",
+        [pytest.param(n, k, p, id=f"{p}-{n}-{k}")
+         for p in (0.0, 0.3, 1.0)
+         for n, k in [(12, 2), (12, 3), (12, 4), (12, 5), (30, 5), (40, 3), (300, 2), (600, 2)]]
+        # random ranks at the edges of the packed key widths: a 64-bit key with
+        # its top bit in use (2^16), the lex-sort fallback past 64 bits
+        # (2^16 + 1 at k = 4, 6300 at k = 5), 8 against 9 bits per vertex,
+        # and a full 32-bit key against a 36-bit one
+        + [pytest.param(n, k, None, id=f"ranks-{n}-{k}")
+           for n, k in [(2**16, 4), (2**16 + 1, 4), (6300, 5), (256, 2), (257, 2),
+                        (256, 4), (257, 4)]],
     )
-    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_host_rows_match_mirror_rank_order(self, n, k, p):
         # the lex order as one argsort of the negated colex ranks of the
         # mirror images {n-1-v}
         m = math.comb(n, k)
-        ranks = np.flatnonzero(np.random.Generator(np.random.PCG64(n + k)).random(m) < p)
-        rows = _unrank_batch(ranks, k, n)
+        rng = np.random.Generator(np.random.PCG64(n + k))
+        if p is None:
+            ranks = np.unique(np.concatenate([rng.integers(0, m, 500), [0, m - 1]]))
+            rows = np.array([colex_unrank(r, k) for r in ranks.tolist()], dtype=np.int64)
+        else:
+            ranks = np.flatnonzero(rng.random(m) < p)
+            rows = _unrank_batch(ranks, k, n)
         neg_mirror = np.zeros(len(rows), dtype=np.int64)
         for i in range(k):
             tab = np.array([math.comb(x, k - i) for x in range(n)], dtype=np.int64)
@@ -190,16 +201,17 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, p", [(64, 0.5), (128, 0.05)])
     def test_draw_peak_memory_bounded_by_rows(self, n, p):
-        # the walk's batch arrays and the ranks are freed before the rows are
-        # ordered, and the order is sorted on one-byte keys, so one draw peaks
-        # at 2.25x its rows: the unranked rows, their permutation and the copy
+        # the walk's batch arrays and the ranks are freed as the columns are
+        # unranked, and each column is packed into a 4-byte lex key as it
+        # comes, so one draw peaks at about 1.13x its rows (the rows and the
+        # sorted keys) and, on a process's first draw, 1.2x
         tracemalloc.start()
         try:
             g = sample_gknp(n, 4, p, derive_seed(n, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * g.rows.nbytes
+        assert peak <= 1.3 * g.rows.nbytes
 
     @pytest.mark.parametrize("m, p, seed", [(91390, 960 / 91390, 8), (91390, 0.5, 1), (10, 0.3, 2)])
     def test_skip_ranks_match_out_of_place_walk(self, m, p, seed):
@@ -215,6 +227,44 @@ class TestSampler:
                 break
             pos = int(pos_arr[-1])
         assert np.array_equal(_skip_ranks(m, p, seed), np.concatenate(taken))
+
+    @pytest.mark.parametrize(
+        "n, k, p, seed",
+        # 1,024 steps of about 1/p overflow int64 in one batch; the last case
+        # is the largest universe at k = 4 below the 2^62 limit
+        [(6300, 5, 1e-18, 0), (6300, 5, 1e-17, 3), (102570, 4, 1e-16, 2)],
+    )
+    def test_skip_walk_exact_where_a_batch_wraps_int64(self, n, k, p, seed):
+        # the sampler's steps of its first batch, walked in Python ints
+        m = math.comb(n, k)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        steps = np.floor(np.log1p(-rng.random(1024)) / math.log1p(-p))
+        pos, walk = -1, []
+        for step in steps.tolist():
+            pos += min(int(step), m + 1) + 1
+            if pos >= m:
+                break
+            walk.append(pos)
+        assert pos >= m and sum(steps.tolist()) + 1024 > 2**63
+        assert _skip_ranks(m, p, seed).tolist() == walk
+        g = sample_gknp(n, k, p, seed)
+        assert len(g) == len(walk) and ((g.rows >= 0) & (g.rows < n)).all()
+
+    @pytest.mark.parametrize(
+        "n, k, p",
+        # C(102571, 4) is the first universe at k = 4 of 2^62 or more subsets
+        [(10**6, 5, 1e-25), (112000, 4, 3e-18), (102571, 4, 1e-18)],
+    )
+    def test_refuses_universe_beyond_int64_ranks(self, n, k, p):
+        with pytest.raises(ValueError, match="2\\^62"):
+            sample_gknp(n, k, p, 1)
+
+    def test_lower_tables_past_int64(self):
+        # C(70, 35) > 2^63 while the universe C(70, 68) = 2415 is small
+        seed = derive_seed(6, 0)
+        g = sample_gknp(70, 68, 0.5, seed)
+        assert sorted(colex_rank(e) for e in g.edges) == _skip_ranks(2415, 0.5, seed).tolist()
+        assert list(g.edges) == sorted(set(g.edges))
 
     def test_valid_edges(self):
         g = sample_gknp(11, 4, 0.4, derive_seed(8, 8))
