@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from time import perf_counter
 from typing import Callable
 
@@ -69,7 +69,7 @@ __all__ = [
     "run_experiment",
 ]
 
-SCHEMA_VERSION = "v1"
+SCHEMA_VERSION = "v2"
 KINDS = ("phase-sweep", "concentration", "audit", "turan-table")
 EXIT_CLEAN, EXIT_FAILED, EXIT_PARTIAL = 0, 1, 2
 
@@ -142,6 +142,7 @@ _KEYS = {
          "constants", "threads", "emit_timings", "build_label", "out", "cap"),
     "p.": ("absolute", "logn_multipliers"),
     "budget.": ("max_nodes", "max_seconds"),
+    "constants.": tuple(f.name for f in fields(AuditConstants)),
 }
 
 
@@ -188,10 +189,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if kind in ("phase-sweep", "concentration", "audit") and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
     budget = _known_keys(_shaped(doc.get("budget", {}), "object", "budget"), "budget.")
+    cdoc = _known_keys(_shaped(doc.get("constants", {}), "object", "constants"), "constants.")
     try:
-        consts = AuditConstants().with_overrides(
-            **_shaped(doc.get("constants", {}), "object", "constants")
-        )
+        consts = AuditConstants().with_overrides(**cdoc)
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"constants.{exc}") from None
     # trials run serially: existing configs may still set "threads", which is

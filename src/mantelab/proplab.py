@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +29,7 @@ from .hypergraph import (
     crossing_edges,
 )
 from .motifs import find_T
-from .randgen import _unrank_batch
+from .randgen import _comb_table, _unrank_batch
 
 __all__ = [
     "AuditConstants",
@@ -56,29 +56,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AuditConstants:
-    """Constant pack used by the audit operations; every field is overridable.
+    """The constants the audit reads; every field is overridable.
 
-    Derived fields (delta, eps3, alpha_prime, gamma_formula) are recomputed
-    from the primaries when passed as None; use :meth:`with_overrides` to
-    change a primary and re-derive.  Exact rationals are kept exact.  Two
-    candidate values of gamma are stored because the formula (1-eps)/64 and
-    the decimal 0.146 disagree; nothing here silently picks one, and
-    operations needing gamma take an explicit choice.
+    alpha, eps1 and eps2 are primaries; delta and eps3 are derived from
+    them when passed as None, and :meth:`with_overrides` re-derives them
+    when a primary changes.  eps1, eps2, delta and eps3 are exact
+    rationals; alpha is a float.
     """
 
     alpha: float = 0.35
     eps1: Fraction = Fraction(1, 4200)
     eps2: Fraction = Fraction(1, 7200)
-    eps: float = 0.1
-    xi: float = 0.001
-    phi: float = 0.0001
-    gamma_decimal: float = 0.146
     delta: Fraction | None = None
     eps3: Fraction | None = None
-    alpha_prime: Fraction | None = None
-    gamma_formula: Fraction | None = None
-    gap_ok_formula: bool = field(init=False)
-    gap_ok_decimal: bool = field(init=False)
 
     def __post_init__(self) -> None:
         # the audit divides by these; derived from positive primaries, delta
@@ -86,41 +76,18 @@ class AuditConstants:
         for name in ("eps1", "eps2", "delta", "eps3"):
             if (value := getattr(self, name)) is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if not self.eps < 1:
-            raise ValueError(f"eps must be < 1, got {self.eps}")
         if self.delta is None:
             object.__setattr__(
                 self, "delta", self.eps1**3 * self.eps2 / (320 * 110 * 16)
             )
         if self.eps3 is None:
             object.__setattr__(self, "eps3", 16 * 80 * self.delta / self.eps1)
-        if self.alpha_prime is None:
-            object.__setattr__(
-                self,
-                "alpha_prime",
-                2 * Fraction(str(self.alpha)) / (1 - Fraction(str(self.eps))),
-            )
-        if self.gamma_formula is None:
-            object.__setattr__(
-                self, "gamma_formula", (1 - Fraction(str(self.eps))) / 64
-            )
-        # the audit gap discount is meaningful only when delta < gamma*phi/2
-        half_phi = Fraction(str(self.phi)) / 2
-        object.__setattr__(
-            self, "gap_ok_formula", self.delta < self.gamma_formula * half_phi
-        )
-        object.__setattr__(
-            self,
-            "gap_ok_decimal",
-            self.delta < Fraction(str(self.gamma_decimal)) * half_phi,
-        )
 
     def with_overrides(self, **kw) -> "AuditConstants":
         """New constants with the given primaries; derived fields re-derive."""
         base = {
             f.name: None if f.name in _DERIVED else getattr(self, f.name)
             for f in fields(self)
-            if f.init
         }
         for key, value in kw.items():
             if key not in base:
@@ -137,7 +104,7 @@ class AuditConstants:
         }
 
 
-_DERIVED = ("delta", "eps3", "alpha_prime", "gamma_formula")
+_DERIVED = ("delta", "eps3")
 
 
 def _override(key: str, value):
@@ -225,8 +192,7 @@ def _core_links(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     ntrip = math.comb(n, 3)
     width = 64 * -(-ntrip // 64)
-    c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
-    c3 = np.array([math.comb(x, 3) for x in range(n + 1)], dtype=np.int64)
+    c2, c3 = _comb_table(2, n), _comb_table(3, n)
     links = np.empty((n, width // 64), dtype="<u8")
     tcnt = np.zeros(ntrip, dtype=np.int64)
     step = max(1, _MASK_BYTES // width)
@@ -256,7 +222,7 @@ def _pair_codegrees(tcnt: np.ndarray, n: int) -> np.ndarray:
     {a, b}, so the pair's co-degree is half the summed co-degrees ``tcnt``
     (indexed by colex rank) of the 3-sets {a, b, c}.
     """
-    c2 = np.array([math.comb(x, 2) for x in range(n + 1)], dtype=np.int64)
+    c2 = _comb_table(2, n)
     lo, mid, hi = _unrank_batch(np.arange(len(tcnt)), 3, n).T
     npairs = math.comb(n, 2)
     sums = sum(np.bincount(c2[b] + a, weights=tcnt, minlength=npairs)
@@ -318,26 +284,15 @@ def concentration_report(
     cross_row = ConcentrationRow("crossing_degree", 0.0, None, None, eps, False, None)
     if part is not None:
         _check_partition(g, part)
-        sizes = part.class_sizes
-        prods = [
-            math.prod(sizes[j] for j in range(4) if j != i) for i in range(4)
-        ]
-        applicable_src = [
-            i
-            for i in range(4)
-            if all(sizes[j] * 80 >= n for j in range(4) if j != i)
-        ]
-        if applicable_src:
-            a = np.asarray(part.assignment, dtype=np.int64)
-            dpi = _crossing_degrees(g, a)
-            e0 = p * prods[0]
-            factor = np.array(
-                [e0 / (p * prods[i]) if i in applicable_src else np.nan for i in range(4)]
-            )
-            scaled = dpi * factor[a]
-            vals = scaled[~np.isnan(scaled)]
-            if vals.size:
-                cross_row = _band_row("crossing_degree", e0, vals, eps)
+        others = np.array([np.delete(part.class_sizes, i) for i in range(4)])
+        expect = p * others.prod(axis=1)
+        applies = (others * 80 >= n).all(axis=1)
+        a = np.asarray(part.assignment, dtype=np.int64)
+        sel = applies[a]
+        if sel.any():
+            dpi = _crossing_degrees(g, a)[sel]
+            vals = dpi * (expect[0] / expect[a[sel]])
+            cross_row = _band_row("crossing_degree", float(expect[0]), vals, eps)
     rows.append(cross_row)
     return ConcentrationReport(n=n, p=p, eps=eps, rows={r.name: r for r in rows})
 
@@ -538,18 +493,12 @@ class AuditReport:
     decomposition: DecompositionReport  # the report audited
 
     def to_json_dict(self) -> dict:
-        """The v1 audit block; its ``relabeling`` is always null, since the
-        caller relabels the partition before the audit and records it."""
-        rep = self.decomposition
+        """The audit block: the named sizes and the inequality rows.  n, p,
+        the constants and the degenerate-threshold flags are the audited
+        report's, written once in its own block."""
         return {
-            "n": rep.n,
-            "p": rep.p,
-            "relabeling": None,
             "sizes": self.sizes,
             "rows": [asdict(r) for r in self.rows.values()],
-            "constants": rep.constants.to_json_dict(),
-            "degenerate_heavy_threshold": rep.degenerate_heavy_threshold,
-            "degenerate_rich_threshold": rep.degenerate_rich_threshold,
         }
 
 

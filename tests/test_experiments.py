@@ -283,16 +283,14 @@ class TestWrongTypedField:
 
 # numbers of the right type that a run cannot use, once run or crashed on:
 # (overrides, the name the error must start with).  json.load reads NaN and
-# Infinity (and 1e400 as Infinity); the audit divides by eps1, eps2, delta,
-# eps3 and 1 - eps.
+# Infinity (and 1e400 as Infinity); the audit divides by eps1, eps2, delta
+# and eps3.
 _BAD_NUMBERS = [
     ({"p": {"logn_multipliers": [math.nan]}}, "p.logn_multipliers item"),
     ({"p": {"absolute": [math.nan]}}, "p.absolute item"),
     ({"eps": math.inf}, "eps"),
     ({"budget": {"max_seconds": math.inf}}, "budget.max_seconds"),
     ({"constants": {"alpha": math.nan}}, "constants.alpha"),
-    ({"constants": {"xi": -math.inf}}, "constants.xi"),
-    ({"constants": {"eps": 1}}, "constants.eps"),
     ({"constants": {"eps1": 0}}, "constants.eps1"),
     ({"constants": {"eps2": 0}}, "constants.eps2"),
     ({"constants": {"delta": 0}}, "constants.delta"),
@@ -321,6 +319,14 @@ _UNKNOWN_KEYS = [
     ({"trails": 5}, "trails"),
     ({"budget": {"max_node": 10}}, "budget.max_node"),
     ({"p": {"absolute": [0.5], "logn_multiplier": [1.0]}}, "p.logn_multiplier"),
+    ({"constants": {"alfa": 0.3}}, "constants.alfa"),
+    # constants that no result read, since removed
+    ({"constants": {"eps": 0.1}}, "constants.eps"),
+    ({"constants": {"xi": 0.001}}, "constants.xi"),
+    ({"constants": {"phi": 0.0001}}, "constants.phi"),
+    ({"constants": {"gamma_decimal": 0.146}}, "constants.gamma_decimal"),
+    ({"constants": {"alpha_prime": "7/9"}}, "constants.alpha_prime"),
+    ({"constants": {"gamma_formula": "9/640"}}, "constants.gamma_formula"),
 ]
 
 
@@ -415,7 +421,7 @@ class TestPhaseSweep:
         cfg = config_from_dict(base_doc(tmp_path, build_label="abc123"))
         out = run_phase_sweep(cfg)
         header, cols, _ = read_rows(out.files[0])
-        assert header[0] == "# schema=mantelab.phase.v1"
+        assert header[0] == "# schema=mantelab.phase.v2"
         assert header[1] == "# build=abc123"
         assert header[2].startswith("# config={")
         assert header[3].startswith("# constants={")
@@ -585,7 +591,7 @@ class TestAuditRun:
         trials = [r for r in rows if r["row_type"] == "trial"]
         assert len(trials) == 2
         payload = json.loads(open(json_path).read())
-        assert payload["schema"] == "mantelab.audit.v1"
+        assert payload["schema"] == "mantelab.audit.v2"
         assert len(payload["trials"]) == 2
         t = payload["trials"][0]
         assert {"audit", "decomposition", "gap", "seed"} <= set(t)

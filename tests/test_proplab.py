@@ -88,14 +88,6 @@ class TestConstants:
         assert c.eps2 == Fraction(1, 7200)
         assert c.delta == Fraction(1, 4200) ** 3 * Fraction(1, 7200) / (320 * 110 * 16)
         assert c.eps3 == 16 * 80 * c.delta / c.eps1
-        assert c.alpha_prime == Fraction(7, 9)
-        assert c.gamma_formula == Fraction(9, 640)
-        assert c.gamma_decimal == 0.146
-
-    def test_gap_requirement_reported(self):
-        c = AuditConstants()
-        # delta ~ 3.3e-21 is far below gamma * phi / 2 for either gamma
-        assert c.gap_ok_formula and c.gap_ok_decimal
 
     def test_overrides_rederive(self):
         c = AuditConstants().with_overrides(eps1=Fraction(1, 100))
@@ -106,29 +98,29 @@ class TestConstants:
         with pytest.raises(ValueError):
             AuditConstants().with_overrides(zeta=1)
 
-    @pytest.mark.parametrize("key", ["alpha", "eps", "xi", "phi", "gamma_decimal"])
+    @pytest.mark.parametrize("key", ["alpha"])
     def test_float_constant_takes_only_numbers(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be a number, got Fraction"):
             AuditConstants().with_overrides(**{key: Fraction(1, 3)})
-        # an int and a float in range (eps must be < 1)
-        for value in (0 if key == "eps" else 2, 0.5):
+        # an int and a float
+        for value in (2, 0.5):
             c = AuditConstants().with_overrides(**{key: value})
             assert json.loads(json.dumps(c.to_json_dict()))[key] == value
 
     @pytest.mark.parametrize(
         "key,value",
         [("eps1", Fraction(0)), ("eps2", Fraction(0)), ("delta", Fraction(0)),
-         ("eps3", Fraction(-1)), ("eps", 1), ("eps", 1.5)],
+         ("eps3", Fraction(-1))],
     )
     def test_rejects_zero_divisors(self, key, value):
-        # the audit divides by eps1, eps2, delta, eps3 and 1 - eps
+        # the audit divides by eps1, eps2, delta, eps3
         with pytest.raises(ValueError, match=f"^{key} must be "):
             AuditConstants(**{key: value})
         with pytest.raises(ValueError, match=f"^{key} must be "):
             AuditConstants().with_overrides(**{key: value})
 
     @pytest.mark.parametrize(
-        "key,value", [("alpha", math.nan), ("phi", math.inf), ("eps1", -math.inf), ("eps2", "0")]
+        "key,value", [("alpha", math.nan), ("alpha", math.inf), ("eps1", -math.inf), ("eps2", "0")]
     )
     def test_override_rejects_non_finite_and_zero(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be "):
@@ -136,11 +128,7 @@ class TestConstants:
 
     def test_json_fields_fixed(self):
         d = AuditConstants().to_json_dict()
-        assert set(d) == {
-            "alpha", "eps1", "eps2", "eps3", "delta", "eps", "xi", "phi",
-            "alpha_prime", "gamma_formula", "gamma_decimal",
-            "gap_ok_formula", "gap_ok_decimal",
-        }
+        assert set(d) == {"alpha", "eps1", "eps2", "eps3", "delta"}
 
 
 class TestConcentration:
