@@ -68,35 +68,35 @@ GOLDEN = {
     "phase_exact": (
         dict(kind="phase-sweep", n=[8, 14], p={"absolute": [0.3, 0.5]}, trials=2,
              tier="exact"),
-        {".csv": "b86677de805b5cc7355376d06f5168c76a102cddc0f3222332059e80f12b9780"},
+        {".csv": "06b3adc7aa0ce877b5063f3f8817e314e777aec9487f9b161c240db27e641a62"},
     ),
     "phase_heuristic": (
         dict(kind="phase-sweep", n=[10], p={"absolute": [0.0, 0.3]}, trials=2,
              tier="heuristic", restarts=2),
-        {".csv": "895adf7780ec2509d1406585f91888a791c3c61aa99d7a63dbf2c357e8606e45"},
+        {".csv": "9e12393da51d7354bf618245ab179694c27b9cb0b36103a7a3e91101bdb69cb3"},
     ),
     "concentration": (
         dict(kind="concentration", n=[12], p={"absolute": [0.0, 0.5]}, trials=2),
-        {".csv": "f4f4b811cd4baaa49ab6391e3d4e5edeb2174f28e364a0e296d698656e78b35a"},
+        {".csv": "daaaa08523c77569923e2475eb88854d8f78b99b635cc4784756a0e8bebda1d9"},
     ),
     "audit_exact": (
         dict(kind="audit", n=[8, 16], p={"absolute": [0.4]}, trials=2, tier="exact"),
         {
-            ".csv": "ca612c474aff810c493e4ec1e2d2c7b9893e970e9336bd9a852df13b175e8032",
-            ".json": "c5dd3f4e2791e2eeb02dd88e56c9417e0fe8f4c73535feba1a29f6a91e477ae8",
+            ".csv": "3d079cbb2df5fee2cf593d3726294aee0bd16f37c237cadd48ae4a0bd0381e11",
+            ".json": "ec12f6f2fdf10c9f185e3b1899bdc08e375e2f9fedd76c13b7ce13d9bc66e26a",
         },
     ),
     "audit_heuristic": (
         dict(kind="audit", n=[10], p={"absolute": [0.3]}, trials=2,
              tier="heuristic", restarts=2),
         {
-            ".csv": "a42a6d8b338d647c78ce5a9b0a4dfdd0792806d7cd7985808831820b9e442f2e",
-            ".json": "0d77a1a682c3d148b6c018fc693ee0390738ae693492132e5d66c549312128f4",
+            ".csv": "8d60ac9727683ec2ed7146f2cf2a25446a734347d993e796391d75404d41bf5d",
+            ".json": "1146aaeeca7c03620cf0c0d0b6163bd98372364c1b75000973f6dcea0fcf2587",
         },
     ),
     "turan_table": (
         dict(kind="turan-table", k=3, n=[5, 6]),
-        {".csv": "1afcfe17fab2b3b89326db91a38963275b0c83d096f47f8a4b3ef96fa55ccdc8"},
+        {".csv": "b70533c395de08d2bdda2e52d37d0651cae09c7fb5ddadfe61cdb2ce0b9de46f"},
     ),
 }
 GOLDEN_STATUS = {"phase_exact": EXIT_PARTIAL, "concentration": EXIT_PARTIAL, "audit_exact": EXIT_PARTIAL}
