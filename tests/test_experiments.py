@@ -320,7 +320,7 @@ _UNKNOWN_KEYS = [
     ({"budget": {"max_node": 10}}, "budget.max_node"),
     ({"p": {"absolute": [0.5], "logn_multiplier": [1.0]}}, "p.logn_multiplier"),
     ({"constants": {"alfa": 0.3}}, "constants.alfa"),
-    # constants that no result read, since removed
+    # removed constants are misspelt keys too
     ({"constants": {"eps": 0.1}}, "constants.eps"),
     ({"constants": {"xi": 0.001}}, "constants.xi"),
     ({"constants": {"phi": 0.0001}}, "constants.phi"),
