@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import hashlib
 import importlib.util
@@ -5,7 +6,10 @@ import json
 import math
 import os
 import pkgutil
+import platform
 import re
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -696,6 +700,10 @@ class TestTuranTable:
         assert "n=[10] above the exact cap 9 for k=4" in out.message
 
 
+def _no_libc(name):
+    raise OSError("no C library")
+
+
 class TestCli:
     def test_generate_solve_roundtrip(self, tmp_path, capsys):
         host = tmp_path / "g.hyp"
@@ -814,6 +822,50 @@ class TestCli:
         assert cli_main(["phase", "--config", str(cfg)]) == 0
         header, _, rows = read_rows(tmp_path / "envrun.csv")
         assert any(r["row_type"] == "trial" for r in rows)
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["cdll-raises", "no-mallopt"])
+    def test_missing_mallopt_is_a_no_op(self, tmp_path, capsys, monkeypatch, cdll):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(kind="concentration", n=[12], p={"absolute": [0.5]},
+                                       trials=2, master_seed=9, out="run")))
+
+        def run(where):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            assert cli_main(["concentration", "--config", str(cfg)]) == EXIT_CLEAN
+            return {path.name: path.read_bytes() for path in where.iterdir()}
+
+        plain = run(tmp_path / "plain")
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+        assert run(tmp_path / "patched") == plain
+        assert calls == [None]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
+    def test_freed_heap_is_reused(self):
+        # a fresh process, as the setting is process-wide.  A 16 MB array is
+        # under the 32 MB mmap threshold, so its freed pages stay in the heap
+        # for the next pass; with glibc's defaults the first array is mapped
+        # and unmapped, and the second pass faults its pages in again
+        code = (
+            "import resource, numpy as np\n"
+            "from mantelab.cli import _keep_freed_heap\n"
+            "_keep_freed_heap()\n"
+            "faults = []\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    a = np.ones(2 << 20)\n"
+            "    del a\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(faults)\n"
+        )
+        src = str(Path(mantelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        first, *rest = json.loads(done.stdout)
+        assert all(10 * later < first for later in rest), (first, rest)
 
 
 def _load_bench_worker():
