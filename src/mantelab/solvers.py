@@ -227,17 +227,17 @@ def _max_class_product(sizes: tuple[int, ...], r: int) -> int:
 
 
 def _cut4_search(
-    h: Hypergraph, ticker: _Ticker, value: int, assign: tuple[int, ...], use_symmetry: bool,
+    h: Hypergraph, ticker: _Ticker, value: int, assign: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...], bool]:
     """Branch-and-bound for a 4-class assignment with more than ``value`` crossing edges.
 
     Starts from the incumbent (``value``, ``assign``) and returns the best
     (value, assignment) found with the budget flag; the incumbent comes back
     unchanged when nothing beats it.  Vertices are assigned in
-    descending-degree order (ties by index); with symmetry breaking, the first
-    vertex is fixed to class 0 and a new class label may be opened only in
-    order, which is valid for any fixed vertex order.  The search stops as
-    soon as every edge crosses.
+    descending-degree order (ties by index).  Class labels are interchangeable,
+    so each vertex joins a nonempty class or the lowest empty one (the first
+    goes to class 0), which is valid for any fixed vertex order.  The search
+    stops as soon as every edge crosses.
 
     The state is Python-int bitsets over edge ids, passed down the recursion
     (no undo step).  ``ve[v]`` holds the edges through v; a node carries
@@ -285,7 +285,7 @@ def _cut4_search(
     slack: dict[tuple[int, ...], int] = {}
 
     def dfs(
-        pos: int, used: int, sizes: tuple[int, ...], s: tuple[int, ...],
+        pos: int, sizes: tuple[int, ...], s: tuple[int, ...],
         a1: int, a2: int, a3: int, a4: int, dead: int, cross: int,
     ) -> None:
         # the node is admitted: its parent ticked it and passed its class-size bound
@@ -315,7 +315,7 @@ def _cut4_search(
         v = order[pos]
         e = ve[v]
         b1, b2, b3, b4 = a1 | e, a2 | (a1 & e), a3 | (a2 & e), a4 | (a3 & e)
-        for c in range(min(used + 1, 4) if use_symmetry else 4):
+        for c in range(min(5 - sizes.count(0), 4)):
             if best["value"] == m:
                 return
             ticker.tick()
@@ -330,7 +330,7 @@ def _cut4_search(
                 continue
             cur[v] = c
             dfs(
-                pos + 1, max(used, c + 1), csizes, s[:c] + (sc | e,) + s[c + 1:],
+                pos + 1, csizes, s[:c] + (sc | e,) + s[c + 1:],
                 b1, b2, b3, b4, cdead, ccross,
             )
 
@@ -340,7 +340,7 @@ def _cut4_search(
             return
         ticker.tick()
         if _max_class_product((0, 0, 0, 0), n) > value:
-            dfs(0, 0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0, 0)
+            dfs(0, (0, 0, 0, 0), (0, 0, 0, 0), 0, 0, 0, 0, 0, 0)
 
     # root, then dfs nested once per assigned vertex, n + 1 deep; a leaf
     # makes no call, so the calls of the frames above it reach no deeper
@@ -349,9 +349,7 @@ def _cut4_search(
     return best["value"], best["assign"], budget_hit
 
 
-def max_cut4_exact(
-    h: Hypergraph, budget: Budget | None = None, use_symmetry: bool = True
-) -> SolveResult:
+def max_cut4_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     """Branch-and-bound maximum 4-partite cut with class-symmetry breaking.
 
     The incumbent is seeded from a short local search, then
@@ -363,7 +361,7 @@ def max_cut4_exact(
     """
     ticker = _Ticker(budget)
     seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
-    value, assign, budget_hit = _cut4_search(h, ticker, seed_value, seed_assign, use_symmetry)
+    value, assign, budget_hit = _cut4_search(h, ticker, seed_value, seed_assign)
     return SolveResult(
         value=value,
         witness=VertexPartition(4, assign),
@@ -400,7 +398,7 @@ def is_4partite(f: Hypergraph, budget: Budget | None = None) -> bool | None:
     decides; None when the budget exhausts first.
     """
     m = len(f)
-    value, _, budget_hit = _cut4_search(f, _Ticker(budget), m - 1, (), True)
+    value, _, budget_hit = _cut4_search(f, _Ticker(budget), m - 1, ())
     if value == m:
         return True
     return None if budget_hit else False

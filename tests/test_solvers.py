@@ -334,47 +334,43 @@ class TestTfreeExactGolden:
 # class-size product bound joined the demand bound, which moved no value,
 # assignment or flag.  A rewrite that keeps the vertex order, symmetry rule,
 # seed incumbent and bounds must reproduce them exactly:
-# (host, node budget, use_symmetry, value, assignment, optimal, nodes)
+# (host, node budget, value, assignment, optimal, nodes)
 _GOLDEN_CUT = [
-    ("gknp-8-0.5-0", None, True, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 353),
-    ("gknp-9-0.3-1", None, True, 15, (0, 1, 1, 2, 2, 2, 0, 3, 3), True, 911),
-    ("gknp-9-0.5-1", None, True, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1291),
-    ("gknp-9-0.7-0", None, True, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 380),
-    ("gknp-9-1.0-0", None, True, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 1),
-    ("gknp-10-0.3-0", None, True, 19, (2, 0, 1, 2, 3, 1, 0, 0, 2, 3), True, 3196),
-    ("gknp-10-0.5-0", None, True, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7419),
-    ("gknp-8-0.5-1", None, False, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 7533),
-    ("complete-8", None, True, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 1),
+    ("gknp-8-0.5-0", None, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 353),
+    ("gknp-9-0.3-1", None, 15, (0, 1, 1, 2, 2, 2, 0, 3, 3), True, 911),
+    ("gknp-9-0.5-1", None, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1291),
+    ("gknp-9-0.7-0", None, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 380),
+    ("gknp-9-1.0-0", None, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 1),
+    ("gknp-10-0.3-0", None, 19, (2, 0, 1, 2, 3, 1, 0, 0, 2, 3), True, 3196),
+    ("gknp-10-0.5-0", None, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7419),
+    ("gknp-8-0.5-1", None, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 359),
+    ("complete-8", None, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 1),
     # the local-cut seed already crosses every edge, so no node is searched
-    ("turan-9", None, True, 24, (2, 2, 2, 0, 0, 3, 3, 1, 1), True, 0),
-    ("empty-7", None, True, 0, (0, 1, 2, 3, 0, 1, 2), True, 0),
+    ("turan-9", None, 24, (2, 2, 2, 0, 0, 3, 3, 1, 1), True, 0),
+    ("empty-7", None, 0, (0, 1, 2, 3, 0, 1, 2), True, 0),
     # the seed meets the largest class-size product, 3 * 3 * 3 * 2, so the
     # root closes within any budget
-    ("complete-11", 1, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
-    ("complete-11", 300, True, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
+    ("complete-11", 1, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
+    ("complete-11", 300, 54, (0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2), True, 1),
     # the root cannot close here, so a budget returns the seed uncertified
-    ("gknp-10-0.5-0", 1, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 2),
-    ("gknp-10-0.5-0", 300, True, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 301),
+    ("gknp-10-0.5-0", 1, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 2),
+    ("gknp-10-0.5-0", 300, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 301),
     # dense hosts, where most nodes fall to the class-size bound; recorded
     # before the parent began to admit its children
-    ("gknp-11-0.7-0", None, True, 51, (1, 3, 2, 2, 0, 2, 1, 3, 0, 3, 0), True, 9905),
-    ("gknp-11-0.85-1", None, True, 53, (2, 1, 3, 3, 0, 0, 0, 2, 2, 3, 1), True, 5557),
-    ("gknp-11-0.7-0", 300, True, 50, (2, 1, 3, 3, 0, 3, 2, 0, 0, 1, 1), False, 301),
+    ("gknp-11-0.7-0", None, 51, (1, 3, 2, 2, 0, 2, 1, 3, 0, 3, 0), True, 9905),
+    ("gknp-11-0.85-1", None, 53, (2, 1, 3, 3, 0, 0, 0, 2, 2, 3, 1), True, 5557),
+    ("gknp-11-0.7-0", 300, 50, (2, 1, 3, 3, 0, 3, 2, 0, 0, 1, 1), False, 301),
 ]
 
 
 class TestCut4ExactGolden:
     @pytest.mark.parametrize(
-        "name,max_nodes,use_symmetry,value,assignment,optimal,nodes",
+        "name,max_nodes,value,assignment,optimal,nodes",
         _GOLDEN_CUT,
-        ids=[f"{g[0]}-{g[1]}-{'sym' if g[2] else 'nosym'}" for g in _GOLDEN_CUT],
+        ids=[f"{g[0]}-{g[1]}-sym" for g in _GOLDEN_CUT],
     )
-    def test_search_tree_unchanged(
-        self, name, max_nodes, use_symmetry, value, assignment, optimal, nodes
-    ):
-        res = max_cut4_exact(
-            _golden_host(name), Budget(max_nodes=max_nodes), use_symmetry=use_symmetry
-        )
+    def test_search_tree_unchanged(self, name, max_nodes, value, assignment, optimal, nodes):
+        res = max_cut4_exact(_golden_host(name), Budget(max_nodes=max_nodes))
         assert res.value == value
         assert res.witness.assignment == assignment
         assert res.optimal is optimal
@@ -561,18 +557,15 @@ class TestSearchesMatchEntryChecks:
         stops, answers = set(), set()
         for n, p, h in _oracle_hosts():
             seed_value, seed_assign, _ = _kpartite_local(h, random.Random(0xCB1), 4)
-            for use_symmetry in (True, False):
-                # unbudgeted where the reference finishes in well under a second
-                unbudgeted = n <= (11 if use_symmetry else 8)
-                for max_nodes in (None, *self.BUDGETS) if unbudgeted else self.BUDGETS:
-                    # the exact cut's start, then is_4partite's feasibility start
-                    for value, assign in ((seed_value, seed_assign), (len(h) - 1, ())):
-                        args = (value, assign, use_symmetry)
-                        want_tick, got_tick = _Ticker(Budget(max_nodes)), _Ticker(Budget(max_nodes))
-                        want = entry_checked_cut4_search(h, want_tick, *args)
-                        got = _cut4_search(h, got_tick, *args)
-                        assert (got, got_tick.nodes) == (want, want_tick.nodes), (n, p, max_nodes)
-                        stops.add(want[2])
+            # unbudgeted where the reference finishes in well under a second
+            for max_nodes in (None, *self.BUDGETS) if n <= 11 else self.BUDGETS:
+                # the exact cut's start, then is_4partite's feasibility start
+                for value, assign in ((seed_value, seed_assign), (len(h) - 1, ())):
+                    want_tick, got_tick = _Ticker(Budget(max_nodes)), _Ticker(Budget(max_nodes))
+                    want = entry_checked_cut4_search(h, want_tick, value, assign, True)
+                    got = _cut4_search(h, got_tick, value, assign)
+                    assert (got, got_tick.nodes) == (want, want_tick.nodes), (n, p, max_nodes)
+                    stops.add(want[2])
             for max_nodes in (None, *self.BUDGETS) if n <= 11 else self.BUDGETS:
                 budget = Budget(max_nodes)
                 value, _, hit = entry_checked_cut4_search(h, _Ticker(budget), len(h) - 1, (), True)
@@ -910,15 +903,6 @@ class TestCut4Exact:
         res = max_cut4_exact(h)
         assert res.optimal and res.value == brute_force_cut4(h)
 
-    def test_symmetry_breaking_loses_nothing(self, rng):
-        for _ in range(8):
-            n = rng.randint(5, 9)
-            h = random_hypergraph(rng, n, 4, p=0.5)
-            with_sym = max_cut4_exact(h, use_symmetry=True)
-            without = max_cut4_exact(h, use_symmetry=False)
-            assert with_sym.value == without.value
-            assert with_sym.optimal and without.optimal
-
     def test_witness_achieves_value(self, rng):
         for _ in range(10):
             h = random_hypergraph(rng, rng.randint(5, 9), 4, p=0.5)
@@ -930,10 +914,9 @@ class TestCut4Exact:
         for _ in range(20):
             h = random_hypergraph(rng, rng.randint(5, 9), 4, p=rng.uniform(0.7, 1.0))
             want = brute_force_cut4(h)
-            for use_symmetry in (True, False):
-                res = max_cut4_exact(h, use_symmetry=use_symmetry)
-                assert res.value == want and res.optimal
-                assert len(crossing_edges(h, res.witness)) == want
+            res = max_cut4_exact(h)
+            assert res.value == want and res.optimal
+            assert len(crossing_edges(h, res.witness)) == want
 
     def test_class_product_fill_matches_every_split(self):
         from mantelab.solvers import _max_class_product
