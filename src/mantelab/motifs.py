@@ -37,7 +37,8 @@ def generalized_triangle(k: int) -> Hypergraph:
 
 # Raw copy rows held per block, unless one core pair alone has more.
 _BLOCK_ROWS = 1 << 15
-# The most edges whose copy keys (i * m + j) * m + l, at most m**3 - 1, fit int64.
+# The most edges whose copy keys (i << 2b) | (j << b) | l, with b = (m - 1).bit_length(),
+# fit int64: 3b <= 63 exactly when m <= 2**21.
 _PACKED_EDGES = 1 << 21
 
 
@@ -139,12 +140,13 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
     ``limit``; at that point at most ``limit`` copies plus one block are held,
     in a buffer of at most twice that many.
 
-    With m edges, a row (i, j, l) is held as the key (i * m + j) * m + l,
-    whose order is the rows' lex order; the keys are sorted in place and
-    unpacked into the result, so the scan holds one int64 per copy and the
-    result three, with no sort permutation or gathered copy.  Above
-    ``_PACKED_EDGES`` edges a key would overflow int64, and the rows are
-    held and lex-sorted as they are.  Blocks are written into one buffer
+    With m edges and b = (m - 1).bit_length(), a row (i, j, l) is held as
+    the key (i << 2b) | (j << b) | l, whose order is the rows' lex order;
+    the keys are sorted in place and unpacked into the result with one
+    right shift per column and one mask, so the scan holds one int64 per
+    copy and the result three, with no sort permutation or gathered copy.
+    Above ``_PACKED_EDGES`` edges a key would overflow int64, and the rows
+    are held and lex-sorted as they are.  Blocks are written into one buffer
     that doubles when full, not kept as a list of block arrays: block-sized
     arrays that live through the scan would interleave with the scan's
     per-block temporaries in the allocator's heap, and how far that heap
@@ -157,6 +159,7 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
     """
     m = len(h)
     packed = m <= _PACKED_EDGES
+    b = (m - 1).bit_length()
     buf = np.empty((0,) if packed else (0, 3), dtype=np.int64)
     total = 0
     for rows in _copy_blocks(h):
@@ -168,10 +171,10 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
             buf = grown
         if packed:
             key = buf[total:end]
-            np.multiply(rows[:, 0], m, out=key)
-            key += rows[:, 1]
-            key *= m
-            key += rows[:, 2]
+            np.left_shift(rows[:, 0], b, out=key)
+            key |= rows[:, 1]
+            key <<= b
+            key |= rows[:, 2]
         else:
             buf[total:end] = rows
         total = end
@@ -182,7 +185,7 @@ def t_copy_triples(h: Hypergraph, limit: int | None = None) -> np.ndarray:
         return keys[np.lexsort(keys.T[::-1])]
     keys.sort()
     rows = np.empty((total, 3), dtype=np.int64)
-    np.floor_divide(keys, m * m, out=rows[:, 0])
-    keys %= m * m
-    np.divmod(keys, m, out=(rows[:, 1], rows[:, 2]))
+    for j in range(3):
+        np.right_shift(keys, b * (2 - j), out=rows[:, j])
+    rows &= (1 << b) - 1
     return rows

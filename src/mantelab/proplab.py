@@ -384,6 +384,23 @@ def _check_decomposable(g: Hypergraph, part: VertexPartition) -> None:
     _check_partition(g, part)
 
 
+def _shared_rows(f: Hypergraph, g: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Bool masks by edge id: which of f's rows are g's rows, and which of g's are f's.
+
+    Each hypergraph's rows are unique, so in one stable lex sort of both row
+    sets an equal adjacent pair is one row of g followed by the same row of f.
+    """
+    both = np.concatenate((g.edge_array, f.edge_array))
+    order = np.lexsort(both.T[::-1])
+    both = both.take(order, axis=0)
+    same = (both[1:] == both[:-1]).all(axis=1)
+    in_g = np.zeros(len(f), dtype=bool)
+    in_g[order[1:][same] - len(g)] = True
+    in_f = np.zeros(len(g), dtype=bool)
+    in_f[order[:-1][same]] = True
+    return in_g, in_f
+
+
 def _defect_table(f: Hypergraph, assignment) -> np.ndarray:
     """(4, m) bool: row i marks the edges of f with at least two vertices in class i."""
     cls = np.asarray(assignment, dtype=np.int64)[f.edge_array]
@@ -402,8 +419,9 @@ def decomposition(
     _check_decomposable(g, part)
     if f.n != g.n or f.k != g.k:
         raise ValueError("subhypergraph must share the host's vertex count and uniformity")
-    if not f.edge_set <= g.edge_set:
-        extra = sorted(f.edge_set - g.edge_set)[:3]
+    in_g, in_f = _shared_rows(f, g)
+    if not in_g.all():
+        extra = list(map(tuple, f.edge_array[~in_g][:3].tolist()))
         raise ValueError(f"subhypergraph has edges outside the host, e.g. {extra}")
     n = g.n
     low = low_pairs(g, part, p, float(consts.alpha)).pairs
@@ -411,11 +429,8 @@ def decomposition(
     table = _defect_table(f, part.assignment)
     defect = [EdgeSet(f, frozenset(np.flatnonzero(row).tolist())) for row in table]
 
-    cross_g = crossing_edges(g, part)
-    missing_ids = frozenset(
-        i for i in cross_g.indices if g.edges[i] not in f.edge_set
-    )
-    missing = EdgeSet(g, missing_ids)
+    cross_g = _crossing_mask(g, part.assignment)
+    missing = EdgeSet(g, frozenset(np.flatnonzero(cross_g & ~in_f).tolist()))
 
     # an edge covers a first-class pair only if two of its vertices are in
     # the first class, so the first-class shadow is that of defect[0]
@@ -462,7 +477,7 @@ def decomposition(
         constants=consts,
         degenerate_heavy_threshold=heavy_threshold < 1,
         degenerate_rich_threshold=rich_threshold < 1,
-        crossing_host=len(cross_g),
+        crossing_host=int(cross_g.sum()),
         crossing_sub=int(cross_deg.sum()) // 4,  # each crossing edge has 4 vertices
     )
 

@@ -523,9 +523,13 @@ def max_tfree_exact(
 ) -> SolveResult:
     """Maximum edge subset containing no copy of the generalized triangle.
 
-    Every copy forbids keeping all three of its edges.  Branch-and-bound
+    Every copy forbids keeping all three of its edges.  Copies are numbered
+    by descending conflict, the summed participation (copies through the
+    edge) of their three edges, ties in lex order, so on a complete host,
+    where every copy ties, the numbering is the lex one.  Branch-and-bound
     decides the undecided edges of one copy in turn (delete, then keep): the
-    lowest-id live copy with a kept edge, else the lowest-id live copy.
+    lowest-id live copy with a kept edge, else the lowest-id live copy, so
+    it branches on the most conflicted open copy, which fails first.
     Keeping the second edge of a live copy forces the deletion of its third,
     and deletions force nothing, so propagation is a single pass.
 
@@ -538,9 +542,11 @@ def max_tfree_exact(
     greedy packing of live copies whose undecided edges are pairwise
     disjoint: each packed copy needs its own future deletion among them.  A
     kept edge is never deleted, so it is not spent.  The packing runs in
-    two passes by lowest-set-bit extraction.  First, over ``live & k1``,
-    each packed copy clears the masks of its two undecided edges (its third
-    is kept) from the candidates, and those masks gather in ``blocked``.
+    two passes by highest-set-bit extraction (``bit_length``), so it takes
+    the least conflicted copies first, which leave the most room for
+    others.  First, over ``live & k1``, each packed copy clears the masks
+    of its two undecided edges (its third is kept) from the candidates, and
+    those masks gather in ``blocked``.
     Then, over ``live & ~k1 & ~blocked``, each packed copy (a, b, c), all
     undecided, clears ``cm[a] | cm[b] | cm[c]``.  The node is pruned when
     the packing reaches m - deleted - incumbent copies, and the packing only
@@ -588,10 +594,13 @@ def max_tfree_exact(
         )
     incumbent = _tfree_incumbent(h, triples, None, 1, cut)
     best = {"value": len(incumbent), "keep": incumbent}
+    participation = np.bincount(triples.reshape(-1), minlength=m)
+    conflict = participation.take(triples).sum(axis=1)
+    triples = triples.take(np.argsort(-conflict, kind="stable"), axis=0)
     triples = triples.tolist()  # the search reads single rows, which lists serve faster
 
     cm = _incidence_masks(m, triples)
-    participation = [c.bit_count() for c in cm]
+    participation = participation.tolist()
     status = [UNDEC] * m
 
     def search(live: int, k1: int, ndel: int) -> None:
@@ -602,7 +611,7 @@ def max_tfree_exact(
         blocked = 0
         cand = live & k1
         while cand:
-            x, y, z = triples[(cand & -cand).bit_length() - 1]
+            x, y, z = triples[cand.bit_length() - 1]
             if status[x] == KEPT:
                 spent = cm[y] | cm[z]
             elif status[y] == KEPT:
@@ -616,7 +625,7 @@ def max_tfree_exact(
                 return
         cand = live & ~k1 & ~blocked
         while cand:
-            a, b, c = triples[(cand & -cand).bit_length() - 1]
+            a, b, c = triples[cand.bit_length() - 1]
             cand &= ~(cm[a] | cm[b] | cm[c])
             need -= 1
             if not need:

@@ -567,9 +567,11 @@ class TestGcPause:
 
 
 def test_trial_stages_build_no_host_tuples():
-    # the concentration, exact phase and heuristic stages read hosts only as
-    # rows; defect_audit still builds them, through decomposition's edge_set
-    from mantelab.proplab import concentration_report, low_pairs, relabel_for_largest_defect
+    # the concentration, exact phase, heuristic and audit stages read hosts
+    # only as rows
+    from mantelab.proplab import (
+        concentration_report, defect_audit, low_pairs, relabel_for_largest_defect,
+    )
     from mantelab.randgen import random_partition
     from mantelab.solvers import (
         is_4partite, max_cut4_exact, max_cut4_local, max_tfree_exact, max_tfree_repair,
@@ -584,12 +586,13 @@ def test_trial_stages_build_no_host_tuples():
     low_pairs(g, q.witness, 0.4)
     assert "edges" not in vars(g) and "edges" not in vars(f)
 
-    # a heuristic audit trial up to defect_audit, and the repair without a cut
+    # a heuristic audit trial, and the repair without a cut
     g = sample_gknp(16, 4, 0.3, derive_seed(4, 2))
     max_tfree_repair(g, 5, 4)
     q = max_cut4_local(g, 5, 4)
     f = max_tfree_repair(g, 5, 4, q.witness).witness.as_hypergraph()
-    relabel_for_largest_defect(f, max_cut4_local(f, 5, 4).witness)
+    part, _ = relabel_for_largest_defect(f, max_cut4_local(f, 5, 4).witness)
+    defect_audit(g, f, part, 0.3)
     assert "edges" not in vars(g) and "edges" not in vars(f)
 
 

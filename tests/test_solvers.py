@@ -206,50 +206,61 @@ class TestTfreeExact:
 # bitset state replaced; node counts, the gknp-8-0.5-1 witness and the
 # budgeted complete-10 row re-recorded when the star joined the incumbent,
 # which kept every certified value; node counts re-recorded again when the
-# kept-edge packing joined the bound, which moved no value, witness or flag.
-# A rewrite that keeps the incumbent, the branching rules and the bound must
-# reproduce them exactly:
+# kept-edge packing joined the bound, which moved no value, witness or flag,
+# and again when the copies were numbered by descending conflict, which moved
+# no value, witness or flag of these rows.  A rewrite that keeps the
+# incumbent, the numbering, the branching rules and the bound must reproduce
+# them exactly:
 # (host, node budget, value, witness ids, optimal, nodes)
 _GOLDEN_TFREE = [
     ("gknp-9-0.3-0", None, 23, (
         0, 2, 4, 9, 10, 11, 12, 14, 17, 18, 19, 20, 21, 23, 24, 25, 26, 30, 31, 32, 33,
         34, 35,
-    ), True, 39),
+    ), True, 17),
     ("gknp-9-0.3-1", None, 27, (
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
         22, 23, 24, 25, 26,
-    ), True, 71),
+    ), True, 49),
     ("gknp-9-0.3-2", None, 24, (
         0, 4, 5, 7, 12, 13, 14, 15, 17, 18, 19, 22, 23, 24, 25, 26, 27, 31, 32, 33, 34,
         38, 39, 40,
-    ), True, 236),
+    ), True, 78),
     ("gknp-9-0.4-0", None, 27, (
         3, 5, 8, 9, 13, 15, 17, 20, 21, 22, 23, 24, 25, 27, 28, 30, 33, 34, 35, 39, 41,
         42, 44, 46, 47, 48, 49,
-    ), True, 367),
+    ), True, 125),
     ("gknp-9-0.4-1", None, 31, (
         1, 2, 5, 6, 7, 8, 11, 14, 17, 18, 19, 21, 24, 26, 29, 32, 34, 35, 37, 42, 44,
         45, 47, 48, 49, 50, 51, 52, 53, 55, 56,
-    ), True, 291),
+    ), True, 128),
     ("gknp-9-0.4-2", None, 27, (
         0, 1, 9, 10, 11, 12, 13, 14, 15, 16, 17, 25, 26, 27, 28, 29, 30, 39, 40, 41, 42,
         43, 44, 45, 46, 47, 48,
-    ), True, 720),
+    ), True, 286),
     ("gknp-8-0.5-0", None, 21, (
         3, 5, 6, 8, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 28, 29, 31, 32, 33,
-    ), True, 46),
+    ), True, 29),
     ("gknp-8-0.5-1", None, 22, (
         0, 1, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23, 24, 25, 32, 33, 34, 35, 36, 37,
         38, 39,
-    ), True, 247),
+    ), True, 132),
     ("random-k2", None, 16, (
         1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 19, 21,
-    ), True, 4),
+    ), True, 7),
     ("random-k3", None, 15, (
         1, 4, 6, 7, 8, 14, 15, 16, 17, 19, 20, 26, 27, 28, 29,
-    ), True, 131),
+    ), True, 101),
     # the budget returns the incumbent, the star at vertex 0, C(9, 3) = 84 edges
     ("complete-10", 300, 84, tuple(range(84)), False, 301),
+    # every copy of a complete host ties on conflict, so the numbering keeps
+    # lex order here; the star at vertex 0, C(7, 3) = 35 edges, is optimal
+    ("complete-8", None, 35, tuple(range(35)), True, 2854),
+    # the search, not the incumbent, finds this optimum, so its witness
+    # depends on the copy numbering and the branch rule
+    ("gknp2-12-0.6-99-12062", None, 28, (
+        2, 3, 4, 5, 8, 9, 11, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 27, 28, 29, 30,
+        31, 32, 34, 35, 37, 38, 41,
+    ), True, 117),
 ]
 
 
@@ -258,6 +269,9 @@ def _golden_host(name: str):
     if kind == "gknp":
         n, p, i = args
         return sample_gknp(int(n), 4, float(p), derive_seed(17, int(i)))
+    if kind == "gknp2":  # gknp2-n-p-master-i: a k = 2 host under its own master seed
+        n, p, master, i = args
+        return sample_gknp(int(n), 2, float(p), derive_seed(int(master), int(i)))
     if kind == "random":
         k = int(args[0][1])
         n, m = {2: (9, 22), 3: (8, 30)}[k]
@@ -449,7 +463,9 @@ def entry_checked_cut4_search(h, ticker, value, assign, use_symmetry):
 def full_packing_tfree_exact(h, budget):
     """max_tfree_exact's search as it was before the packing stopped once it
     decided: every node packs in full, then compares.  Kept verbatim as the
-    reference; returns (value, sorted witness ids, nodes, budget_hit)."""
+    reference, apart from the numbering by descending conflict and the
+    highest-set-bit packing that the search took up later; returns (value,
+    sorted witness ids, nodes, budget_hit)."""
     from mantelab.motifs import t_copy_triples
     from mantelab.solvers import DEL, KEPT, UNDEC, _incidence_masks, _tfree_incumbent, _Ticker
 
@@ -460,10 +476,13 @@ def full_packing_tfree_exact(h, budget):
         return m, tuple(range(m)), 0, False
     incumbent = _tfree_incumbent(h, triples, None, 1, None)
     best = {"value": len(incumbent), "keep": incumbent}
+    participation = np.bincount(triples.reshape(-1), minlength=m)
+    conflict = participation.take(triples).sum(axis=1)
+    triples = triples.take(np.argsort(-conflict, kind="stable"), axis=0)
     triples = triples.tolist()  # the search reads single rows, which lists serve faster
 
     cm = _incidence_masks(m, triples)
-    participation = [c.bit_count() for c in cm]
+    participation = participation.tolist()
     status = [UNDEC] * m
 
     def search(live: int, k1: int, ndel: int) -> None:
@@ -472,7 +491,7 @@ def full_packing_tfree_exact(h, budget):
         blocked = 0
         cand = live & k1
         while cand:
-            x, y, z = triples[(cand & -cand).bit_length() - 1]
+            x, y, z = triples[cand.bit_length() - 1]
             if status[x] == KEPT:
                 spent = cm[y] | cm[z]
             elif status[y] == KEPT:
@@ -484,7 +503,7 @@ def full_packing_tfree_exact(h, budget):
             packing += 1
         cand = live & ~k1 & ~blocked
         while cand:
-            a, b, c = triples[(cand & -cand).bit_length() - 1]
+            a, b, c = triples[cand.bit_length() - 1]
             cand &= ~(cm[a] | cm[b] | cm[c])
             packing += 1
         if m - ndel - packing <= best["value"]:
