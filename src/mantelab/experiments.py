@@ -142,7 +142,7 @@ _KEYS = {
          "constants", "threads", "emit_timings", "build_label", "out", "cap"),
     "p.": ("absolute", "logn_multipliers"),
     "budget.": ("max_nodes", "max_seconds"),
-    "constants.": tuple(f.name for f in fields(AuditConstants)),
+    "constants.": tuple(f.name for f in fields(AuditConstants) if f.init),
 }
 
 
@@ -191,7 +191,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     budget = _known_keys(_shaped(doc.get("budget", {}), "object", "budget"), "budget.")
     cdoc = _known_keys(_shaped(doc.get("constants", {}), "object", "constants"), "constants.")
     try:
-        consts = AuditConstants().with_overrides(**cdoc)
+        consts = AuditConstants(**cdoc)
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"constants.{exc}") from None
     # trials run serially: existing configs may still set "threads", which is
@@ -209,9 +209,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     max_nodes = _shaped(budget.get("max_nodes"), "integer or null", "budget.max_nodes")
     max_seconds = _shaped(budget.get("max_seconds"), "number or null", "budget.max_seconds")
-    for name, limit in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
-        if limit is not None and not limit >= 0:
-            raise ConfigError(f"budget.{name} must be >= 0, got {limit}")
+    try:
+        budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"budget.{exc}") from None
     cfg = ExperimentConfig(
         kind=kind,
         n_values=n_values,
@@ -223,7 +224,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         tier=tier,
         eps=eps,
         restarts=restarts,
-        budget=Budget(max_nodes=max_nodes, max_seconds=max_seconds),
+        budget=budget,
         constants=consts,
         emit_timings=_shaped(doc.get("emit_timings", False), "boolean", "emit_timings"),
         build_label=build_label,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -56,45 +56,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AuditConstants:
-    """The constants the audit reads; every field is overridable.
+    """The constants the audit reads.
 
-    alpha, eps1 and eps2 are primaries; delta and eps3 are derived from
-    them when passed as None, and :meth:`with_overrides` re-derives them
-    when a primary changes.  eps1, eps2, delta and eps3 are exact
-    rationals; alpha is a float.
+    alpha, eps1 and eps2 are set; delta and eps3 are always derived from
+    eps1 and eps2, so :func:`dataclasses.replace` re-derives them.  eps1,
+    eps2, delta and eps3 are exact rationals; alpha is a float.
     """
 
     alpha: float = 0.35
     eps1: Fraction = Fraction(1, 4200)
     eps2: Fraction = Fraction(1, 7200)
-    delta: Fraction | None = None
-    eps3: Fraction | None = None
+    delta: Fraction = field(init=False)
+    eps3: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
-        # the audit divides by these; derived from positive primaries, delta
-        # and eps3 are positive
-        for name in ("eps1", "eps2", "delta", "eps3"):
-            if (value := getattr(self, name)) is not None and not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.delta is None:
-            object.__setattr__(
-                self, "delta", self.eps1**3 * self.eps2 / (320 * 110 * 16)
-            )
-        if self.eps3 is None:
-            object.__setattr__(self, "eps3", 16 * 80 * self.delta / self.eps1)
-
-    def with_overrides(self, **kw) -> "AuditConstants":
-        """New constants with the given primaries; derived fields re-derive."""
-        base = {
-            f.name: None if f.name in _DERIVED else getattr(self, f.name)
-            for f in fields(self)
-        }
-        for key, value in kw.items():
-            if key not in base:
-                raise ValueError(f"{key} is not an overridable constant")
-            # None re-derives a derived constant
-            base[key] = None if value is None and key in _DERIVED else _override(key, value)
-        return AuditConstants(**base)
+        for name in ("alpha", "eps1", "eps2"):
+            object.__setattr__(self, name, _constant(name, getattr(self, name)))
+        object.__setattr__(self, "delta", self.eps1**3 * self.eps2 / (320 * 110 * 16))
+        object.__setattr__(self, "eps3", 16 * 80 * self.delta / self.eps1)
 
     def to_json_dict(self) -> dict:
         """Every field, with the exact rationals written as strings."""
@@ -104,24 +83,26 @@ class AuditConstants:
         }
 
 
-_DERIVED = ("delta", "eps3")
-
-
-def _override(key: str, value):
+def _constant(key: str, value):
     """value as constant ``key`` stores it: a finite number (int or float) for
-    a float constant; a finite number, Fraction or rational string such as
-    "1/4200" for an exact one; else ValueError naming key."""
-    exact = key in ("eps1", "eps2", *_DERIVED)
+    alpha; a positive finite number, Fraction or rational string such as
+    "1/4200" for eps1 and eps2, which the audit divides by; else ValueError
+    naming key."""
+    exact = key != "alpha"
     kinds = (int, float, Fraction, str) if exact else (int, float)
     try:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValueError
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError
-        return Fraction(str(value)) if exact else value
+        value = Fraction(str(value)) if exact else value
     except (ValueError, ZeroDivisionError):
         wanted = "a number or a rational string" if exact else "a number"
         raise ValueError(f"{key} must be {wanted}, got {value!r}") from None
+    # derived from positive eps1 and eps2, delta and eps3 are positive
+    if exact and not value > 0:
+        raise ValueError(f"{key} must be > 0, got {value}")
+    return value
 
 
 def chernoff_c(eps: float) -> float:
@@ -266,6 +247,8 @@ def concentration_report(
         raise ValueError(f"p={p} outside (0, 1] makes the bands degenerate")
     if not (0.0 < eps and math.isfinite(eps)):
         raise ValueError(f"eps={eps} must be finite and > 0")
+    if part is not None:
+        _check_partition(g, part)
     n = g.n
     E = g.edge_array
     links, tcnt = _core_links(E, n)
@@ -283,7 +266,6 @@ def concentration_report(
 
     cross_row = ConcentrationRow("crossing_degree", 0.0, None, None, eps, False, None)
     if part is not None:
-        _check_partition(g, part)
         others = np.array([np.delete(part.class_sizes, i) for i in range(4)])
         expect = p * others.prod(axis=1)
         applies = (others * 80 >= n).all(axis=1)
@@ -310,7 +292,7 @@ class LowPairReport:
 
 
 def low_pairs(
-    g: Hypergraph, part: VertexPartition, p: float, alpha: float = 0.35
+    g: Hypergraph, part: VertexPartition, p: float, alpha: float = AuditConstants.alpha
 ) -> LowPairReport:
     """Exact low-pair set under threshold (alpha/32) p^2 n^3."""
     if g.k != 4:
@@ -653,7 +635,7 @@ def low_pair_cut_gap(
     delta,
     q_value: int,
     q_certified: bool = True,
-    alpha: float = 0.35,
+    alpha: float = AuditConstants.alpha,
 ) -> GapReport:
     """gap = q - |G[partition]| - |low pairs| * delta * n^3 * p^2."""
     crossing = len(crossing_edges(g, part))

@@ -258,7 +258,7 @@ def test_c10_chernoff_constant():
 def test_c11_decomposition_invariants():
     t0 = time.monotonic()
     rng = random.Random(0xACCE11)
-    consts = AuditConstants().with_overrides(eps1=0.2, eps2=0.002)
+    consts = AuditConstants(eps1=0.2, eps2=0.002)
     bad = 0
     for i in range(1000):
         n = rng.randint(8, 14)

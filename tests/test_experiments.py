@@ -10,6 +10,7 @@ import platform
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from mantelab.experiments import (
     run_turan_table,
 )
 from mantelab.hypergraph import Hypergraph, from_text, read_text, to_text
+from mantelab.proplab import AuditConstants
 from mantelab.randgen import derive_seed, sample_gknp
 
 
@@ -219,6 +221,12 @@ class TestConfig:
         cfg = config_from_dict(base_doc(tmp_path, constants={"alpha": 0.5}))
         assert cfg.constants.alpha == 0.5
 
+    def test_constants_read_as_the_constructor_reads_them(self, tmp_path):
+        cfg = config_from_dict(base_doc(tmp_path, constants={"eps1": 0.1}))
+        assert cfg.constants == AuditConstants(eps1=0.1)
+        assert cfg.constants.eps1 == Fraction(1, 10)
+        assert isinstance(cfg.constants.delta, Fraction)
+
 
 # fields whose wrong JSON type used to escape as AttributeError or TypeError,
 # or to be accepted as a string ("trials": "2")
@@ -287,8 +295,8 @@ class TestWrongTypedField:
 
 # numbers of the right type that a run cannot use, once run or crashed on:
 # (overrides, the name the error must start with).  json.load reads NaN and
-# Infinity (and 1e400 as Infinity); the audit divides by eps1, eps2, delta
-# and eps3.
+# Infinity (and 1e400 as Infinity); the audit divides by eps1, eps2 and the
+# delta and eps3 derived from them.
 _BAD_NUMBERS = [
     ({"p": {"logn_multipliers": [math.nan]}}, "p.logn_multipliers item"),
     ({"p": {"absolute": [math.nan]}}, "p.absolute item"),
@@ -297,8 +305,6 @@ _BAD_NUMBERS = [
     ({"constants": {"alpha": math.nan}}, "constants.alpha"),
     ({"constants": {"eps1": 0}}, "constants.eps1"),
     ({"constants": {"eps2": 0}}, "constants.eps2"),
-    ({"constants": {"delta": 0}}, "constants.delta"),
-    ({"constants": {"eps3": "0"}}, "constants.eps3"),
 ]
 
 
@@ -331,6 +337,9 @@ _UNKNOWN_KEYS = [
     ({"constants": {"gamma_decimal": 0.146}}, "constants.gamma_decimal"),
     ({"constants": {"alpha_prime": "7/9"}}, "constants.alpha_prime"),
     ({"constants": {"gamma_formula": "9/640"}}, "constants.gamma_formula"),
+    # derived constants are not settable
+    ({"constants": {"delta": 0}}, "constants.delta"),
+    ({"constants": {"eps3": "0"}}, "constants.eps3"),
 ]
 
 

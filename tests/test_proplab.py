@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -90,41 +91,55 @@ class TestConstants:
         assert c.eps3 == 16 * 80 * c.delta / c.eps1
 
     def test_overrides_rederive(self):
-        c = AuditConstants().with_overrides(eps1=Fraction(1, 100))
+        c = replace(AuditConstants(), eps1=Fraction(1, 100))
         assert c.eps1 == Fraction(1, 100)
         assert c.delta == Fraction(1, 100) ** 3 * Fraction(1, 7200) / (320 * 110 * 16)
+        assert c.eps3 == 16 * 80 * c.delta / c.eps1
+        assert c == AuditConstants(eps1=Fraction(1, 100))
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            AuditConstants().with_overrides(zeta=1)
+        with pytest.raises(TypeError):
+            replace(AuditConstants(), zeta=1)
+
+    @pytest.mark.parametrize("key", ["delta", "eps3"])
+    def test_derived_not_settable(self, key):
+        # delta and eps3 always derive from eps1 and eps2
+        with pytest.raises(TypeError):
+            AuditConstants(**{key: Fraction(1, 3)})
+        with pytest.raises(ValueError, match=f"{key} is declared with init=False"):
+            replace(AuditConstants(), **{key: Fraction(1, 3)})
+
+    def test_exact_constants_read_as_rationals(self):
+        # a float and a rational string are read as the config reads them
+        c = AuditConstants(eps1=0.1, eps2="1/50")
+        assert (c.eps1, c.eps2) == (Fraction(1, 10), Fraction(1, 50))
+        assert c.delta == Fraction(1, 10) ** 3 * Fraction(1, 50) / (320 * 110 * 16)
+        assert isinstance(c.delta, Fraction) and isinstance(c.eps3, Fraction)
+        assert AuditConstants(eps1="1/10") == AuditConstants(eps1=0.1)
 
     @pytest.mark.parametrize("key", ["alpha"])
     def test_float_constant_takes_only_numbers(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be a number, got Fraction"):
-            AuditConstants().with_overrides(**{key: Fraction(1, 3)})
+            AuditConstants(**{key: Fraction(1, 3)})
         # an int and a float
         for value in (2, 0.5):
-            c = AuditConstants().with_overrides(**{key: value})
+            c = AuditConstants(**{key: value})
             assert json.loads(json.dumps(c.to_json_dict()))[key] == value
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("eps1", Fraction(0)), ("eps2", Fraction(0)), ("delta", Fraction(0)),
-         ("eps3", Fraction(-1))],
-    )
+    @pytest.mark.parametrize("key,value", [("eps1", Fraction(0)), ("eps2", Fraction(0))])
     def test_rejects_zero_divisors(self, key, value):
-        # the audit divides by eps1, eps2, delta, eps3
+        # the audit divides by eps1, eps2 and the delta and eps3 derived from them
         with pytest.raises(ValueError, match=f"^{key} must be "):
             AuditConstants(**{key: value})
         with pytest.raises(ValueError, match=f"^{key} must be "):
-            AuditConstants().with_overrides(**{key: value})
+            replace(AuditConstants(), **{key: value})
 
     @pytest.mark.parametrize(
         "key,value", [("alpha", math.nan), ("alpha", math.inf), ("eps1", -math.inf), ("eps2", "0")]
     )
     def test_override_rejects_non_finite_and_zero(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be "):
-            AuditConstants().with_overrides(**{key: value})
+            AuditConstants(**{key: value})
 
     def test_json_fields_fixed(self):
         d = AuditConstants().to_json_dict()
@@ -165,6 +180,16 @@ class TestConcentration:
         # inf would pass every row, and nan or eps <= 0 would fail every row
         with pytest.raises(ValueError, match="eps"):
             concentration_report(complete_hypergraph(8, 4), 0.5, None, eps)
+
+    def test_partition_checked_before_the_kernels(self, monkeypatch):
+        # a partition of the wrong vertex count is refused before any kernel runs
+        def unreachable(*args):
+            raise AssertionError("_core_links ran before the partition check")
+
+        monkeypatch.setattr(mantelab.proplab, "_core_links", unreachable)
+        g = complete_hypergraph(8, 4)
+        with pytest.raises(ValueError, match="partition covers 7 vertices, hypergraph has 8"):
+            concentration_report(g, 0.5, equal_parts(7), 0.25)
 
     def test_without_partition_crossing_row_not_applicable(self):
         g = complete_hypergraph(8, 4)
@@ -391,7 +416,7 @@ class TestDecomposition:
         f = crossing_edges(g, part).as_hypergraph()
         rep = decomposition(g, f, part, 0.5)
         assert rep.degenerate_heavy_threshold  # n / 4200 < 1 at desk scale
-        loose = AuditConstants().with_overrides(eps1=Fraction(1, 4))
+        loose = AuditConstants(eps1=Fraction(1, 4))
         rep2 = decomposition(g, f, part, 0.5, loose)
         assert not rep2.degenerate_heavy_threshold  # n / 4 = 2 >= 1
 
@@ -416,9 +441,7 @@ class TestDecomposition:
             assert rep.heavy_poor == rep.heavy - rep.heavy_rich
 
     def test_matches_naive_definitions(self, rng):
-        consts = AuditConstants().with_overrides(
-            eps1=Fraction(1, 5), eps2=Fraction(1, 50)
-        )
+        consts = AuditConstants(eps1=Fraction(1, 5), eps2=Fraction(1, 50))
         rules_seen = set()
         for i in range(10):
             n = rng.randint(8, 13)
@@ -461,7 +484,7 @@ class TestDecomposition:
             sparse = build_hypergraph(n, 4, f.edges[::5])
             wide = unbalanced_parts(n, 6, derive_seed(65, i))
             for h, q, eps2 in product((f, sparse), (part, wide), (consts.eps2, Fraction(1, 500))):
-                c = consts.with_overrides(eps2=eps2)
+                c = replace(consts, eps2=eps2)
                 r = decomposition(g, h, q, 0.6, c)
                 fst = q.classes[0]
                 sh = {pr for pr in shadow_graph(h) if pr[0] in fst and pr[1] in fst}
@@ -562,7 +585,7 @@ class TestDefectAudit:
             g = sample_gknp(n, 4, 0.5, derive_seed(68, i))
             f = max_tfree_repair(g, derive_seed(68, i), 1).witness.as_hypergraph()
             part = random_vertex_partition(rng, n, 4)
-            consts = AuditConstants().with_overrides(alpha=2.0)
+            consts = AuditConstants(alpha=2.0)
             left = defect_audit(g, f, part, 0.5, consts).rows["condition_low_pair_disjoint"].left
             first = part.classes[0]
             defect_pairs = {

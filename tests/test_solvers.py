@@ -195,6 +195,19 @@ class TestTfreeExact:
         assert res.stats.budget_hit
         assert count_T(res.witness.as_hypergraph()) == 0
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [({"max_seconds": math.nan}, "max_seconds must be >= 0, got nan"),
+         ({"max_seconds": -0.5}, "max_seconds must be >= 0, got -0.5"),
+         ({"max_nodes": -3}, "max_nodes must be >= 0, got -3")],
+        ids=["nan-seconds", "negative-seconds", "negative-nodes"],
+    )
+    def test_budget_refuses_nan_and_negative_limits(self, kw, message):
+        # a NaN clock limit would never stop a search, and a negative one would
+        # stop it at its first node as if the budget ran out
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Budget(**kw)
+
     def test_deterministic_witness(self):
         h = complete_hypergraph(7, 4)
         a = max_tfree_exact(h)
