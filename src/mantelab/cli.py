@@ -86,15 +86,14 @@ def _run_generate(args) -> int:
 
 
 def _run_solve(args) -> int:
-    for flag, value, low in (
-        ("--restarts", args.restarts, 1),
-        ("--max-nodes", args.max_nodes, 0),
-        ("--max-seconds", args.max_seconds, 0),
-    ):
-        if value is not None and not value >= low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    if not args.restarts >= 1:
+        raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+    try:
+        budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    except ValueError as exc:  # the message starts with the field's name: give the flag's
+        name, rest = str(exc).split(" ", 1)
+        raise ValueError(f"--{name.replace('_', '-')} {rest}") from None
     g = read_text(args.path)
-    budget = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     seed = derive_seed(args.seed, 0)
     if args.problem == "tfree":
         res = max_tfree_exact(g, budget) if args.tier == "exact" else max_tfree_repair(g, seed, args.restarts)

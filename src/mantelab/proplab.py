@@ -84,10 +84,11 @@ class AuditConstants:
 
 
 def _constant(key: str, value):
-    """value as constant ``key`` stores it: a finite number (int or float) for
-    alpha; a positive finite number, Fraction or rational string such as
-    "1/4200" for eps1 and eps2, which the audit divides by; else ValueError
-    naming key."""
+    """value as constant ``key`` stores it: a positive finite number (int or
+    float) for alpha, whose low-pair threshold no pair passes at alpha <= 0;
+    a positive finite number, Fraction or rational string such as "1/4200"
+    for eps1 and eps2, which the audit divides by; else ValueError naming
+    key."""
     exact = key != "alpha"
     kinds = (int, float, Fraction, str) if exact else (int, float)
     try:
@@ -100,7 +101,7 @@ def _constant(key: str, value):
         wanted = "a number or a rational string" if exact else "a number"
         raise ValueError(f"{key} must be {wanted}, got {value!r}") from None
     # derived from positive eps1 and eps2, delta and eps3 are positive
-    if exact and not value > 0:
+    if not value > 0:
         raise ValueError(f"{key} must be > 0, got {value}")
     return value
 

@@ -242,8 +242,11 @@ def _cut4_search(
 
     Starts from the incumbent (``value``, ``assign``) and returns the best
     (value, assignment) found with the budget flag; the incumbent comes back
-    unchanged when nothing beats it.  Vertices are assigned in
-    descending-degree order (ties by index).  Class labels are interchangeable,
+    unchanged when nothing beats it.  Vertices are assigned rarer incidence
+    first: by descending min(deg(v), D - deg(v)) with D = C(n - 1, 3), the
+    degree in the complete host, ties by index.  A vertex of a sparse link
+    is ranked by its edges, one of a dense link by its non-edges, which are
+    what the class-size bound below sees.  Class labels are interchangeable,
     so each vertex joins a nonempty class or the lowest empty one (the first
     goes to class 0), which is valid for any fixed vertex order.  The search
     stops as soon as every edge crosses.
@@ -288,7 +291,8 @@ def _cut4_search(
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     n, m = h.n, len(h)
     ve = _incidence_masks(n, h.edge_array.tolist())
-    order = sorted(range(n), key=lambda v: (-ve[v].bit_count(), v))
+    full = math.comb(n - 1, h.k - 1)  # the degree of a vertex of the complete host
+    order = sorted(range(n), key=lambda v: (-min(deg := ve[v].bit_count(), full - deg), v))
     best = {"value": value, "assign": assign}
     cur = [-1] * n
     slack: dict[tuple[int, ...], int] = {}
@@ -362,8 +366,9 @@ def max_cut4_exact(h: Hypergraph, budget: Budget | None = None) -> SolveResult:
     """Branch-and-bound maximum 4-partite cut with class-symmetry breaking.
 
     The incumbent is seeded from a short local search, then
-    :func:`_cut4_search` (vertex order, symmetry rule, demand and class-size
-    product bounds) proves it or improves on it.  The search is
+    :func:`_cut4_search` (rarer-incidence-first vertex order, symmetry
+    rule, demand and class-size product bounds) proves it or improves on
+    it.  The search is
     deterministic, so value, flag, and witness are reproducible run to run.
     A budget is charged from entry, so the local seed counts against it.  The
     complete host closes at the root.

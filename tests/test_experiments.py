@@ -227,6 +227,12 @@ class TestConfig:
         assert cfg.constants.eps1 == Fraction(1, 10)
         assert isinstance(cfg.constants.delta, Fraction)
 
+    @pytest.mark.parametrize("alpha", [0, -2])
+    def test_nonpositive_alpha_refused(self, tmp_path, alpha):
+        # no pair is low at alpha <= 0, so the low-pair rows would read 0
+        with pytest.raises(ConfigError, match="^constants.alpha must be > 0"):
+            config_from_dict(base_doc(tmp_path, kind="audit", constants={"alpha": alpha}))
+
 
 # fields whose wrong JSON type used to escape as AttributeError or TypeError,
 # or to be accepted as a string ("trials": "2")

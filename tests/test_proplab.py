@@ -135,7 +135,9 @@ class TestConstants:
             replace(AuditConstants(), **{key: value})
 
     @pytest.mark.parametrize(
-        "key,value", [("alpha", math.nan), ("alpha", math.inf), ("eps1", -math.inf), ("eps2", "0")]
+        "key,value",
+        [("alpha", math.nan), ("alpha", math.inf), ("alpha", 0), ("alpha", -2.0),
+         ("eps1", -math.inf), ("eps2", "0")],
     )
     def test_override_rejects_non_finite_and_zero(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be "):

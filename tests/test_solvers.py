@@ -279,9 +279,10 @@ _GOLDEN_TFREE = [
 
 def _golden_host(name: str):
     kind, *args = name.split("-")
-    if kind == "gknp":
-        n, p, i = args
-        return sample_gknp(int(n), 4, float(p), derive_seed(17, int(i)))
+    if kind == "gknp":  # gknp-n-p-i under master seed 17, or gknp-n-p-master-i
+        n, p, *master, i = args
+        seed = derive_seed(int(master[0]) if master else 17, int(i))
+        return sample_gknp(int(n), 4, float(p), seed)
     if kind == "gknp2":  # gknp2-n-p-master-i: a k = 2 host under its own master seed
         n, p, master, i = args
         return sample_gknp(int(n), 2, float(p), derive_seed(int(master), int(i)))
@@ -359,18 +360,20 @@ class TestTfreeExactGolden:
 # max_cut4_exact results recorded from the solver with per-edge counters and
 # undo logs that the bitset state replaced; node counts re-recorded when the
 # class-size product bound joined the demand bound, which moved no value,
-# assignment or flag.  A rewrite that keeps the vertex order, symmetry rule,
-# seed incumbent and bounds must reproduce them exactly:
+# assignment or flag, and witnesses and node counts re-recorded when the
+# vertex order became rarer incidence first, which moved no value or flag.
+# A rewrite that keeps the vertex order, symmetry rule, seed incumbent and
+# bounds must reproduce them exactly:
 # (host, node budget, value, assignment, optimal, nodes)
 _GOLDEN_CUT = [
-    ("gknp-8-0.5-0", None, 12, (1, 3, 2, 1, 0, 0, 2, 3), True, 353),
+    ("gknp-8-0.5-0", None, 12, (0, 2, 1, 0, 2, 3, 1, 3), True, 601),
     ("gknp-9-0.3-1", None, 15, (0, 1, 1, 2, 2, 2, 0, 3, 3), True, 911),
-    ("gknp-9-0.5-1", None, 20, (2, 1, 3, 0, 0, 2, 1, 2, 3), True, 1291),
-    ("gknp-9-0.7-0", None, 24, (2, 0, 1, 3, 3, 2, 3, 1, 0), True, 380),
+    ("gknp-9-0.5-1", None, 20, (0, 2, 1, 3, 3, 0, 2, 0, 1), True, 1887),
+    ("gknp-9-0.7-0", None, 24, (2, 3, 1, 0, 0, 2, 0, 1, 3), True, 188),
     ("gknp-9-1.0-0", None, 24, (0, 1, 2, 3, 0, 1, 2, 3, 0), True, 1),
     ("gknp-10-0.3-0", None, 19, (2, 0, 1, 2, 3, 1, 0, 0, 2, 3), True, 3196),
-    ("gknp-10-0.5-0", None, 28, (2, 1, 3, 1, 2, 0, 3, 3, 0, 1), True, 7419),
-    ("gknp-8-0.5-1", None, 13, (1, 0, 0, 1, 2, 3, 3, 2), True, 359),
+    ("gknp-10-0.5-0", None, 28, (2, 0, 1, 0, 2, 3, 1, 1, 3, 0), True, 10419),
+    ("gknp-8-0.5-1", None, 13, (3, 1, 1, 2, 2, 0, 0, 3), True, 355),
     ("complete-8", None, 16, (0, 1, 2, 3, 0, 1, 2, 3), True, 1),
     # the local-cut seed already crosses every edge, so no node is searched
     ("turan-9", None, 24, (2, 2, 2, 0, 0, 3, 3, 1, 1), True, 0),
@@ -382,11 +385,13 @@ _GOLDEN_CUT = [
     # the root cannot close here, so a budget returns the seed uncertified
     ("gknp-10-0.5-0", 1, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 2),
     ("gknp-10-0.5-0", 300, 26, (0, 1, 2, 3, 0, 2, 0, 1, 3, 1), False, 301),
-    # dense hosts, where most nodes fall to the class-size bound; recorded
-    # before the parent began to admit its children
-    ("gknp-11-0.7-0", None, 51, (1, 3, 2, 2, 0, 2, 1, 3, 0, 3, 0), True, 9905),
-    ("gknp-11-0.85-1", None, 53, (2, 1, 3, 3, 0, 0, 0, 2, 2, 3, 1), True, 5557),
+    # dense hosts, where most nodes fall to the class-size bound
+    ("gknp-11-0.7-0", None, 51, (1, 0, 2, 2, 1, 2, 1, 0, 3, 0, 3), True, 5913),
+    ("gknp-11-0.85-1", None, 53, (2, 2, 0, 0, 3, 1, 3, 1, 2, 0, 1), True, 4397),
     ("gknp-11-0.7-0", 300, 50, (2, 1, 3, 3, 0, 3, 2, 0, 0, 1, 1), False, 301),
+    # the two p = 0.7 hosts of the dense_cut benchmark workload
+    ("gknp-11-0.7-1-0", None, 50, (1, 3, 2, 2, 0, 0, 2, 1, 3, 3, 1), True, 8057),
+    ("gknp-11-0.7-2-0", None, 50, (2, 2, 3, 1, 3, 0, 0, 1, 1, 3, 0), True, 9885),
 ]
 
 
@@ -408,14 +413,16 @@ class TestCut4ExactGolden:
 def entry_checked_cut4_search(h, ticker, value, assign, use_symmetry):
     """_cut4_search as it was before each parent admitted its children:
     every node ticks and checks its own class-size bound on entry, and the
-    demand bound sums every free vertex.  Kept verbatim as the reference."""
+    demand bound sums every free vertex.  Kept verbatim as the reference,
+    apart from the rarer-incidence vertex order the search took up later."""
     from mantelab.solvers import _incidence_masks, _max_class_product
 
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
     n, m = h.n, len(h)
     ve = _incidence_masks(n, h.edge_array.tolist())
-    order = sorted(range(n), key=lambda v: (-ve[v].bit_count(), v))
+    full = math.comb(n - 1, h.k - 1)  # the degree of a vertex of the complete host
+    order = sorted(range(n), key=lambda v: (-min(deg := ve[v].bit_count(), full - deg), v))
     best = {"value": value, "assign": assign}
     cur = [-1] * n
     slack: dict[tuple[int, ...], int] = {}
