@@ -114,8 +114,7 @@ def _run_solve(args) -> int:
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        experiments._write(args.out, text)
     else:
         sys.stdout.write(text)
     return experiments.EXIT_CLEAN
@@ -150,8 +149,7 @@ def _run_fmt_roundtrip(args) -> int:
         print("canonical form is not a fixpoint", file=sys.stderr)
         return experiments.EXIT_FAILED
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(canonical)
+        write_text(g, args.out)
         print(f"wrote {args.out}")
     if original == canonical:
         print("roundtrip: identical")

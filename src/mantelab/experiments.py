@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import Callable
 
@@ -69,12 +69,14 @@ __all__ = [
     "run_experiment",
 ]
 
-SCHEMA_VERSION = "v2"
+SCHEMA_VERSION = "v3"
 KINDS = ("phase-sweep", "concentration", "audit", "turan-table")
 EXIT_CLEAN, EXIT_FAILED, EXIT_PARTIAL = 0, 1, 2
 
 EXACT_TIER_MAX_N = 12
-EXACT_TIER_MAX_N_AUDIT = 14  # certified-q audits stretch two vertices further
+# bounds n only: an exact audit runs a phase trial's unbudgeted searches plus
+# a second exact cut, so it admits cells harder than unfinished phase cells
+EXACT_TIER_MAX_N_AUDIT = 14
 HEURISTIC_TIER_MAX_N = 200
 TURAN_DEFAULT_CAPS = {2: 12, 3: 9, 4: 9}
 
@@ -415,6 +417,7 @@ def _run_trials(cfg: ExperimentConfig, kind: _TrialKind) -> RunOutcome:
             "schema": f"mantelab.{kind.schema}.{SCHEMA_VERSION}",
             "build": cfg.build_label,
             "config": cfg.raw_dict(),
+            "constants": cfg.constants.to_json_dict(),
             "trials": payloads,
         }
         _write(files[1], json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -560,7 +563,8 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
         "relabeling": list(relabeling) if relabeling else None,
         "audit": audit.to_json_dict(),
         "decomposition": rep.to_json_dict(),
-        "gap": asdict(gap),
+        # q, its flag, the crossing count and the low pairs have keys of their own
+        "gap": {"gap": gap.gap, "discount": gap.discount, "interpretation": gap.interpretation},
     }
     return row, doc
 
@@ -604,7 +608,7 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
         )
     columns = [
         "row_type", "k", "n", "host_edges", "ex_value", "certified",
-        "turan_edges", "equality", "kpartite_optimum",
+        "turan_edges", "kpartite_optimum",
     ]
 
     def one(n: int):
@@ -615,10 +619,10 @@ def run_turan_table(cfg: ExperimentConfig) -> RunOutcome:
         res = max_tfree_exact(host, cfg.budget, part)
         tcount = math.prod(part.class_sizes)
         # equality with the transversal count is the k-partite-optimum test
-        equality = _fmt(res.value == tcount) if res.optimal else "unknown"
+        kpartite = _fmt(res.value == tcount) if res.optimal else "unknown"
         return [
             "result", _fmt(cfg.k), _fmt(n), _fmt(len(host)),
-            _fmt(res.value), _fmt(res.optimal), _fmt(tcount), equality, equality,
+            _fmt(res.value), _fmt(res.optimal), _fmt(tcount), kpartite,
         ]
 
     rows = [one(n) for n in sorted(cfg.n_values)]

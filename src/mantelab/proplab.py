@@ -324,8 +324,6 @@ class DecompositionReport:
     and heavy_rich/heavy_poor split heavy by crossing-edge incidence.
     """
 
-    n: int
-    p: float
     low_pair_set: frozenset[Pair]
     defect: tuple[EdgeSet, EdgeSet, EdgeSet, EdgeSet]
     missing: EdgeSet
@@ -335,26 +333,19 @@ class DecompositionReport:
     heavy_rich: frozenset[int]
     heavy_poor: frozenset[int]
     defect_split: tuple[EdgeSet, EdgeSet, EdgeSet]
-    constants: AuditConstants
     degenerate_heavy_threshold: bool
     degenerate_rich_threshold: bool
     crossing_host: int  # |crossing edges of the host|, not in the JSON form
     crossing_sub: int  # |crossing edges of the subhypergraph|, not in the JSON form
 
     def to_json_dict(self) -> dict:
+        """The five vertex and pair sets in full and the two flags; the audit holds the counts."""
         return {
-            "n": self.n,
-            "p": self.p,
             "low_pairs": sorted(list(pr) for pr in self.low_pair_set),
-            "defect_sizes": [len(b) for b in self.defect],
-            "missing_size": len(self.missing),
-            "shadow_first_size": len(self.shadow_first),
             "heavy": sorted(self.heavy),
             "light": sorted(self.light),
             "heavy_rich": sorted(self.heavy_rich),
             "heavy_poor": sorted(self.heavy_poor),
-            "defect_split_sizes": [len(b) for b in self.defect_split],
-            "constants": self.constants.to_json_dict(),
             "degenerate_heavy_threshold": self.degenerate_heavy_threshold,
             "degenerate_rich_threshold": self.degenerate_rich_threshold,
         }
@@ -444,8 +435,6 @@ def decomposition(
     split = np.select([few_heavy & (in_rich >= 1), few_heavy & (in_poor >= 1)], [0, 1], 2)
 
     return DecompositionReport(
-        n=n,
-        p=p,
         low_pair_set=low,
         defect=tuple(defect),
         missing=missing,
@@ -457,7 +446,6 @@ def decomposition(
         defect_split=tuple(
             EdgeSet(f, frozenset(b1_ids[split == i].tolist())) for i in range(3)
         ),
-        constants=consts,
         degenerate_heavy_threshold=heavy_threshold < 1,
         degenerate_rich_threshold=rich_threshold < 1,
         crossing_host=int(cross_g.sum()),
@@ -491,9 +479,7 @@ class AuditReport:
     decomposition: DecompositionReport  # the report audited
 
     def to_json_dict(self) -> dict:
-        """The audit block: the named sizes and the inequality rows.  n, p,
-        the constants and the degenerate-threshold flags are the audited
-        report's, written once in its own block."""
+        """The audit block: the named sizes and the inequality rows."""
         return {
             "sizes": self.sizes,
             "rows": [asdict(r) for r in self.rows.values()],

@@ -190,7 +190,7 @@ def _kpartite_local(
     best_value = -1
     best_assign: tuple[int, ...] = ()
     total_moves = 0
-    for t in range(max(1, restarts)):
+    for t in range(restarts):
         if t == 0:
             start = [v % h.k for v in range(h.n)]
         else:
@@ -204,9 +204,13 @@ def _kpartite_local(
 
 
 def max_cut4_local(h: Hypergraph, seed: int, restarts: int = 8) -> SolveResult:
-    """Hill-climbing maximum 4-partite cut; the partition is 1-move-optimal."""
+    """Hill-climbing maximum 4-partite cut; the partition is 1-move-optimal.
+
+    ValueError unless h is 4-uniform and ``restarts`` is at least 1."""
     if h.k != 4:
         raise ValueError(f"4-partite cut needs k=4, got k={h.k}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     t0 = time.monotonic()
     value, assign, moves = _kpartite_local(h, random.Random(seed), restarts)
     part = VertexPartition(4, assign)
@@ -509,17 +513,19 @@ def max_tfree_repair(
     same (seed, restarts) is computed here, so the value is never below the
     local cut's (:func:`_tfree_incumbent` proves both sets copy-free).
     Hosts with more than ``MAX_COPIES_EXACT`` copies are refused
-    (ValueError) as in :func:`max_tfree_exact`, and so is a cut of another
-    vertex count or class count than h's.
+    (ValueError) as in :func:`max_tfree_exact`, and so are ``restarts``
+    below 1 and a cut of another vertex count or class count than h's.
     """
     t0 = time.monotonic()
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if cut is not None:
         _check_partition(h, cut)
     triples = t_copy_triples(h, limit=MAX_COPIES_EXACT)
     if cut is None:
         _, assign, _ = _kpartite_local(h, random.Random(seed), restarts)
         cut = VertexPartition(h.k, assign)
-    best = _tfree_incumbent(h, triples, random.Random(seed), max(1, restarts), cut)
+    best = _tfree_incumbent(h, triples, random.Random(seed), restarts, cut)
     return SolveResult(
         value=len(best),
         witness=EdgeSet(h, frozenset(best)),

@@ -440,7 +440,7 @@ class TestPhaseSweep:
         cfg = config_from_dict(base_doc(tmp_path, build_label="abc123"))
         out = run_phase_sweep(cfg)
         header, cols, _ = read_rows(out.files[0])
-        assert header[0] == "# schema=mantelab.phase.v2"
+        assert header[0] == "# schema=mantelab.phase.v3"
         assert header[1] == "# build=abc123"
         assert header[2].startswith("# config={")
         assert header[3].startswith("# constants={")
@@ -624,15 +624,36 @@ class TestAuditRun:
         trials = [r for r in rows if r["row_type"] == "trial"]
         assert len(trials) == 2
         payload = json.loads(open(json_path).read())
-        assert payload["schema"] == "mantelab.audit.v2"
+        assert payload["schema"] == "mantelab.audit.v3"
         assert len(payload["trials"]) == 2
         t = payload["trials"][0]
         assert {"audit", "decomposition", "gap", "seed"} <= set(t)
         assert t["gap"]["interpretation"] in (
             "consistent", "inconsistent-at-scale", "inconclusive"
         )
-        # labels in the audit block match the decomposition block
-        assert t["audit"]["sizes"]["defect_1"] == t["decomposition"]["defect_sizes"][0]
+        # the decomposition block writes its sets in full; the audit holds their sizes
+        for name in ("low_pairs", "heavy", "light", "heavy_rich", "heavy_poor"):
+            assert len(t["decomposition"][name]) == t["audit"]["sizes"][name]
+
+    def test_each_value_written_once(self, tmp_path):
+        # every count lives in audit.sizes, the constants once per document,
+        # and the gap block only what no other key holds
+        doc = base_doc(tmp_path, kind="audit", n=[8], p={"absolute": [0.4]}, trials=2)
+        cfg = config_from_dict(doc)
+        payload = json.loads(open(run_audit(cfg).files[1]).read())
+        assert set(payload) == {"schema", "build", "config", "constants", "trials"}
+        assert payload["constants"] == cfg.constants.to_json_dict()
+        for t in payload["trials"]:
+            assert set(t) == {
+                "trial", "n", "k", "p", "seed", "edges", "tfree_value", "tfree_optimal",
+                "q_value", "q_optimal", "relabeling", "audit", "decomposition", "gap",
+            }
+            assert set(t["audit"]) == {"sizes", "rows"}
+            assert set(t["decomposition"]) == {
+                "low_pairs", "heavy", "light", "heavy_rich", "heavy_poor",
+                "degenerate_heavy_threshold", "degenerate_rich_threshold",
+            }
+            assert set(t["gap"]) == {"gap", "discount", "interpretation"}
 
     def test_crossing_subhost_trivial_branch(self, tmp_path):
         # p = 1: the copy-free extraction keeps a 4-partite optimum, defects empty
@@ -680,12 +701,13 @@ class TestTuranTable:
         )
         out = run_turan_table(config_from_dict(doc))
         assert out.status == EXIT_CLEAN
-        _, _, rows = read_rows(out.files[0])
+        _, cols, rows = read_rows(out.files[0])
+        assert cols == ["row_type", "k", "n", "host_edges", "ex_value", "certified",
+                        "turan_edges", "kpartite_optimum"]
         for r in rows:
             n = int(r["n"])
             assert int(r["ex_value"]) == n * n // 4
             assert r["certified"] == "true"
-            assert r["equality"] == "true"
             assert r["kpartite_optimum"] == "true"
 
     def test_three_uniform_five_vertices(self, tmp_path):
@@ -694,7 +716,7 @@ class TestTuranTable:
         _, _, rows = read_rows(out.files[0])
         r = rows[0]
         assert int(r["ex_value"]) == 6 and int(r["turan_edges"]) == 4
-        assert r["equality"] == "false" and r["kpartite_optimum"] == "false"
+        assert r["kpartite_optimum"] == "false"
 
     def test_four_uniform_seven_vertices(self, tmp_path):
         doc = base_doc(tmp_path, kind="turan-table", k=4, n=[7], p={"absolute": [1.0]})
@@ -703,7 +725,7 @@ class TestTuranTable:
         r = rows[0]
         assert r["certified"] == "true"
         assert int(r["ex_value"]) == 20 and int(r["turan_edges"]) == 8
-        assert r["equality"] == "false"
+        assert r["kpartite_optimum"] == "false"
 
     def test_four_uniform_eight_vertices(self, tmp_path):
         # the star C(7, 3) = 35 is the extremum; the search certifies it
@@ -714,7 +736,7 @@ class TestTuranTable:
         r = rows[0]
         assert r["certified"] == "true"
         assert int(r["ex_value"]) == 35 and int(r["turan_edges"]) == 16
-        assert r["equality"] == "false"
+        assert r["kpartite_optimum"] == "false"
 
     def test_cap_exceeded_fails(self, tmp_path, monkeypatch):
         # the default k = 4 cap is 9 (K⁴₉ certifies in seconds); n = 10 is
@@ -733,6 +755,15 @@ def _no_libc(name):
     raise OSError("no C library")
 
 
+def assert_same_solve_json(written: str, stdout: str) -> None:
+    """A solve result written by --out has stdout's layout and, apart from the
+    wall-clock elapsed, its values."""
+    doc, want = json.loads(written), json.loads(stdout)
+    assert written == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    doc.pop("elapsed"), want.pop("elapsed")
+    assert doc == want
+
+
 class TestCli:
     def test_generate_solve_roundtrip(self, tmp_path, capsys):
         host = tmp_path / "g.hyp"
@@ -744,11 +775,11 @@ class TestCli:
         g = read_text(str(host))
         assert g == sample_gknp(10, 4, 0.4, derive_seed(5, 0))
         out_json = tmp_path / "res.json"
-        rc = cli_main([
-            "solve", "--in", str(host), "--problem", "cut4", "--tier", "exact",
-            "--out", str(out_json),
-        ])
-        assert rc == 0
+        solve = ["solve", "--in", str(host), "--problem", "cut4", "--tier", "exact"]
+        assert cli_main(solve + ["--out", str(out_json)]) == 0
+        capsys.readouterr()
+        assert cli_main(solve) == 0
+        assert_same_solve_json(out_json.read_text(), capsys.readouterr().out)
         doc = json.loads(out_json.read_text())
         assert doc["optimal"] is True
         from mantelab.solvers import max_cut4_exact
@@ -768,12 +799,15 @@ class TestCli:
                   "--out", str(host)])
         capsys.readouterr()
         out_json = tmp_path / "res.json"
-        rc = cli_main(["solve", "--in", str(host), "--problem", "tfree", "--tier", tier,
-                       "--seed", "11", *flags] + (["--out", str(out_json)] if to_file else []))
+        solve = ["solve", "--in", str(host), "--problem", "tfree", "--tier", tier,
+                 "--seed", "11", *flags]
+        rc = cli_main(solve + (["--out", str(out_json)] if to_file else []))
         assert rc == EXIT_CLEAN
         stdout = capsys.readouterr().out
         if to_file:
             assert stdout == ""
+            assert cli_main(solve) == EXIT_CLEAN
+            assert_same_solve_json(out_json.read_text(), capsys.readouterr().out)
         doc = json.loads(out_json.read_text() if to_file else stdout)
         g = read_text(str(host))
         if tier == "exact":
@@ -788,9 +822,12 @@ class TestCli:
     def test_fmt_roundtrip_identical(self, tmp_path, capsys):
         host = tmp_path / "g.hyp"
         cli_main(["generate", "--n", "8", "--k", "3", "--p", "0.5", "--out", str(host)])
-        rc = cli_main(["fmt-roundtrip", "--in", str(host)])
+        out = tmp_path / "canon.hyp"
+        rc = cli_main(["fmt-roundtrip", "--in", str(host), "--out", str(out)])
         assert rc == 0
         assert "identical" in capsys.readouterr().out
+        assert out.read_bytes() == host.read_bytes()
+        assert out.read_text() == to_text(read_text(str(host)))
 
     def test_fmt_roundtrip_canonicalizes(self, tmp_path, capsys):
         path = tmp_path / "messy.hyp"
@@ -799,7 +836,8 @@ class TestCli:
         rc = cli_main(["fmt-roundtrip", "--in", str(path), "--out", str(out)])
         assert rc == 0
         assert "canonicalized" in capsys.readouterr().out
-        assert out.read_text() == "7 4 3\n0 1 2 3\n0 1 2 4\n3 4 5 6\n"
+        assert out.read_bytes() == b"7 4 3\n0 1 2 3\n0 1 2 4\n3 4 5 6\n"
+        assert out.read_text() == to_text(from_text(path.read_text()))
 
     def test_phase_subcommand_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -410,11 +410,12 @@ class TestCut4ExactGolden:
         assert res.stats.budget_hit is (not optimal)
 
 
-def entry_checked_cut4_search(h, ticker, value, assign, use_symmetry):
+def entry_checked_cut4_search(h, ticker, value, assign):
     """_cut4_search as it was before each parent admitted its children:
     every node ticks and checks its own class-size bound on entry, and the
     demand bound sums every free vertex.  Kept verbatim as the reference,
-    apart from the rarer-incidence vertex order the search took up later."""
+    apart from the rarer-incidence vertex order the search took up later and
+    the class-symmetry switch the search dropped (symmetry is always broken)."""
     from mantelab.solvers import _incidence_masks, _max_class_product
 
     if h.k != 4:
@@ -458,8 +459,7 @@ def entry_checked_cut4_search(h, ticker, value, assign, use_symmetry):
             return
         v = order[pos]
         e = ve[v]
-        limit = min(used + 1, 4) if use_symmetry else 4
-        for c in range(limit):
+        for c in range(min(used + 1, 4)):
             cur[v] = c
             sc = s[c]
             dfs(
@@ -601,13 +601,13 @@ class TestSearchesMatchEntryChecks:
                 # the exact cut's start, then is_4partite's feasibility start
                 for value, assign in ((seed_value, seed_assign), (len(h) - 1, ())):
                     want_tick, got_tick = _Ticker(Budget(max_nodes)), _Ticker(Budget(max_nodes))
-                    want = entry_checked_cut4_search(h, want_tick, value, assign, True)
+                    want = entry_checked_cut4_search(h, want_tick, value, assign)
                     got = _cut4_search(h, got_tick, value, assign)
                     assert (got, got_tick.nodes) == (want, want_tick.nodes), (n, p, max_nodes)
                     stops.add(want[2])
             for max_nodes in (None, *self.BUDGETS) if n <= 11 else self.BUDGETS:
                 budget = Budget(max_nodes)
-                value, _, hit = entry_checked_cut4_search(h, _Ticker(budget), len(h) - 1, (), True)
+                value, _, hit = entry_checked_cut4_search(h, _Ticker(budget), len(h) - 1, ())
                 want = True if value == len(h) else None if hit else False
                 assert is_4partite(h, budget) is want, (n, p, max_nodes)
                 answers.add(want)
@@ -753,6 +753,14 @@ class TestTfreeRepair:
         repair = max_tfree_repair(g, seed, restarts=4)
         cut = max_cut4_local(g, seed, restarts=4)
         assert repair.value >= cut.value
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_refused(self, restarts):
+        g = sample_gknp(12, 4, 0.4, derive_seed(3, 0))
+        cut = max_cut4_local(g, 5, 1).witness
+        for kw in ({}, {"cut": cut}):
+            with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
+                max_tfree_repair(g, 5, restarts, **kw)
 
 
 def loop_greedy_tfree(m, triples, rng):
@@ -1057,6 +1065,14 @@ class TestCut4Local:
         res = max_cut4_local(h, derive_seed(7, 7), restarts=8)
         assert res.value == 81
         assert not res.optimal
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_refused(self, restarts):
+        g = sample_gknp(12, 4, 0.4, derive_seed(3, 0))
+        with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
+            max_cut4_local(g, 5, restarts)
+        with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
+            best_partition_for(g, "local", seed=5, restarts=restarts)
 
     def test_single_edge(self):
         h = build_hypergraph(6, 4, [(0, 1, 2, 3)])
