@@ -74,35 +74,35 @@ GOLDEN = {
     "phase_exact": (
         dict(kind="phase-sweep", n=[8, 14], p={"absolute": [0.3, 0.5]}, trials=2,
              tier="exact"),
-        {".csv": "06b3adc7aa0ce877b5063f3f8817e314e777aec9487f9b161c240db27e641a62"},
+        {".csv": "32ea4247131e0fbda922dccdf46f01b07ec95cfd69375163205cf54590b09c25"},
     ),
     "phase_heuristic": (
         dict(kind="phase-sweep", n=[10], p={"absolute": [0.0, 0.3]}, trials=2,
              tier="heuristic", restarts=2),
-        {".csv": "9e12393da51d7354bf618245ab179694c27b9cb0b36103a7a3e91101bdb69cb3"},
+        {".csv": "0dd540b71f4694fc621dedca53b8cf27d382d3d0096ee98690c5d4a1280d858b"},
     ),
     "concentration": (
         dict(kind="concentration", n=[12], p={"absolute": [0.0, 0.5]}, trials=2),
-        {".csv": "daaaa08523c77569923e2475eb88854d8f78b99b635cc4784756a0e8bebda1d9"},
+        {".csv": "0f0b317c47c51d36f7e71220c80559c3c4857beb4ba649db0f246ad635f7daff"},
     ),
     "audit_exact": (
         dict(kind="audit", n=[8, 16], p={"absolute": [0.4]}, trials=2, tier="exact"),
         {
-            ".csv": "3d079cbb2df5fee2cf593d3726294aee0bd16f37c237cadd48ae4a0bd0381e11",
-            ".json": "ec12f6f2fdf10c9f185e3b1899bdc08e375e2f9fedd76c13b7ce13d9bc66e26a",
+            ".csv": "c0214f2220d79dc716971c94fe19e6497a39274453dd7569c6ae2e3d24e38226",
+            ".json": "37c090bf70d88b6f90a5ebc005273737cb03b0125ac8bb7fbaa0b0825c7d3038",
         },
     ),
     "audit_heuristic": (
         dict(kind="audit", n=[10], p={"absolute": [0.3]}, trials=2,
              tier="heuristic", restarts=2),
         {
-            ".csv": "8d60ac9727683ec2ed7146f2cf2a25446a734347d993e796391d75404d41bf5d",
-            ".json": "1146aaeeca7c03620cf0c0d0b6163bd98372364c1b75000973f6dcea0fcf2587",
+            ".csv": "b974a9022b3be4d83949c3fd16659ec8e69ee69ae86f485ca360cb6c553970a4",
+            ".json": "d4533fdd0dcb862e0822a44284649ba525ad7676ac184b2158952a1abd4e97a2",
         },
     ),
     "turan_table": (
         dict(kind="turan-table", k=3, n=[5, 6]),
-        {".csv": "b70533c395de08d2bdda2e52d37d0651cae09c7fb5ddadfe61cdb2ce0b9de46f"},
+        {".csv": "935bb661ccf2b0ade5638e15386c27c3c40995d72d1ac23f5db8b764fa302786"},
     ),
 }
 GOLDEN_STATUS = {"phase_exact": EXIT_PARTIAL, "concentration": EXIT_PARTIAL, "audit_exact": EXIT_PARTIAL}
