@@ -34,12 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(experiments.EXIT_FAILED)
 
 
-_KIND_BY_COMMAND = {
-    "phase": "phase-sweep",
-    "concentration": "concentration",
-    "audit": "audit",
-    "turan-table": "turan-table",
-}
+# one experiment command per kind, named as the kind but for "phase"
+_KIND_BY_COMMAND = {"phase" if kind == "phase-sweep" else kind: kind for kind in experiments.KINDS}
 
 
 def _build_parser() -> _Parser:

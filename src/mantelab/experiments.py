@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "v3"
-KINDS = ("phase-sweep", "concentration", "audit", "turan-table")
 EXIT_CLEAN, EXIT_FAILED, EXIT_PARTIAL = 0, 1, 2
 
 EXACT_TIER_MAX_N = 12
@@ -188,7 +187,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     tier = doc.get("tier", "exact")
     if tier not in ("exact", "heuristic"):
         raise ConfigError(f"tier must be 'exact' or 'heuristic', got {tier!r}")
-    if kind in ("phase-sweep", "concentration", "audit") and k != 4:
+    if kind != "turan-table" and k != 4:
         raise ConfigError(f"{kind} runs are 4-uniform; set k=4")
     budget = _known_keys(_shaped(doc.get("budget", {}), "object", "budget"), "budget.")
     cdoc = _known_keys(_shaped(doc.get("constants", {}), "object", "constants"), "constants.")
@@ -528,6 +527,11 @@ def run_concentration(cfg: ExperimentConfig) -> RunOutcome:
 # audit pipeline
 
 
+# the audit sizes that the CSV writes, in column order
+_AUDIT_SIZES = ("crossing_host", "crossing_sub", "defect_1", "defect_union", "missing",
+                "heavy", "heavy_rich", "heavy_poor", "low_pairs")
+
+
 def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
     qres = _cut(cfg, g, seed)
     lap()
@@ -544,10 +548,8 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
         rep.crossing_host, len(rep.low_pair_set),
     )
     lap()
-    sizes = ("crossing_host", "crossing_sub", "defect_1", "defect_union", "missing",
-             "heavy", "heavy_rich", "heavy_poor", "low_pairs")
     row = [_fmt(x) for x in (tres.value, tres.optimal, qres.value, qres.optimal)]
-    row += [_fmt(audit.sizes[name]) for name in sizes]
+    row += [_fmt(audit.sizes[name]) for name in _AUDIT_SIZES]
     row += [_fmt(audit.rows["conclusion_nonstrict"].holds), _fmt(gap.gap), gap.interpretation]
     doc = {
         "trial": trial_no,
@@ -571,9 +573,7 @@ def _audit_trial(cfg: ExperimentConfig, g, p: float, trial_no: int, seed, lap):
 
 _AUDIT = _TrialKind(
     schema="audit",
-    columns=("tfree_value", "tfree_optimal", "q_value", "q_optimal",
-             "crossing_host", "crossing_sub", "defect_1", "defect_union",
-             "missing", "heavy", "heavy_rich", "heavy_poor", "low_pairs",
+    columns=("tfree_value", "tfree_optimal", "q_value", "q_optimal", *_AUDIT_SIZES,
              "conclusion_nonstrict", "gap", "gap_interpretation"),
     timings=("t_sample", "t_q", "t_tfree", "t_partition", "t_audit"),
     trial=_audit_trial,
@@ -637,6 +637,7 @@ _RUNNERS = {
     "audit": run_audit,
     "turan-table": run_turan_table,
 }
+KINDS = tuple(_RUNNERS)  # every experiment kind, in the CLI's command order
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunOutcome:

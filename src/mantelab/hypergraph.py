@@ -372,8 +372,6 @@ def from_text(text: str) -> Hypergraph:
     if not text.endswith("\n"):
         raise ValueError("hypergraph text must end with LF")
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise ValueError("empty hypergraph text")
     head = lines[0].split(" ")
     if len(head) != 3:
         raise ValueError(f"header must be 'n k m', got {lines[0]!r}")

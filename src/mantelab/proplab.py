@@ -124,16 +124,12 @@ class ConcentrationRow:
     expected: float
     observed_min: float | None
     observed_max: float | None
-    eps: float
     applicable: bool
     passed: bool | None
 
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    n: int
-    p: float
-    eps: float
     rows: dict[str, ConcentrationRow]  # by row name, in report order
 
     @property
@@ -145,7 +141,7 @@ class ConcentrationReport:
 def _band_row(name: str, expected: float, values: np.ndarray, eps: float) -> ConcentrationRow:
     omin, omax = float(values.min()), float(values.max())
     passed = (1.0 - eps) * expected <= omin and omax <= (1.0 + eps) * expected
-    return ConcentrationRow(name, expected, omin, omax, eps, True, passed)
+    return ConcentrationRow(name, expected, omin, omax, True, passed)
 
 
 def _crossing_degrees(g: Hypergraph, assignment) -> np.ndarray:
@@ -265,7 +261,7 @@ def concentration_report(
         _band_row("vertex_degree", p / 6 * n**3, dcnt, eps),
     ]
 
-    cross_row = ConcentrationRow("crossing_degree", 0.0, None, None, eps, False, None)
+    cross_row = ConcentrationRow("crossing_degree", 0.0, None, None, False, None)
     if part is not None:
         others = np.array([np.delete(part.class_sizes, i) for i in range(4)])
         expect = p * others.prod(axis=1)
@@ -277,7 +273,7 @@ def concentration_report(
             vals = dpi * (expect[0] / expect[a[sel]])
             cross_row = _band_row("crossing_degree", float(expect[0]), vals, eps)
     rows.append(cross_row)
-    return ConcentrationReport(n=n, p=p, eps=eps, rows={r.name: r for r in rows})
+    return ConcentrationReport(rows={r.name: r for r in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +603,9 @@ class GapReport:
     """
 
     gap: float
-    q_value: int
     crossing: int
     low_pair_count: int
     discount: float
-    certified: bool
     interpretation: str
 
 
@@ -644,10 +638,8 @@ def _gap_report(
         interpretation = "inconclusive"
     return GapReport(
         gap=gap,
-        q_value=q_value,
         crossing=crossing,
         low_pair_count=low_count,
         discount=discount,
-        certified=q_certified,
         interpretation=interpretation,
     )

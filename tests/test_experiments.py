@@ -311,6 +311,13 @@ _BAD_NUMBERS = [
     ({"constants": {"alpha": math.nan}}, "constants.alpha"),
     ({"constants": {"eps1": 0}}, "constants.eps1"),
     ({"constants": {"eps2": 0}}, "constants.eps2"),
+    # refusals of a phase config, named by the start of the message
+    ({"kind": "phase-sweep", "n": []}, "n"),
+    ({"kind": "phase-sweep", "n": [3]}, "n"),
+    ({"kind": "phase-sweep", "k": 5}, "k"),
+    ({"kind": "phase-sweep", "p": {"logn_multipliers": [-1.0]}}, "log-n multipliers"),
+    ({"kind": "phase-sweep", "trials": 0}, "trials"),
+    ({"kind": "phase-sweep", "threads": 0}, "threads"),
 ]
 
 
@@ -318,12 +325,14 @@ _BAD_NUMBERS = [
 class TestBadNumber:
     def test_config_error(self, tmp_path, overrides, name):
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
-            config_from_dict(base_doc(tmp_path, kind="audit", **overrides))
+            config_from_dict(base_doc(tmp_path, **{"kind": "audit", **overrides}))
 
     def test_cli_error_line(self, tmp_path, capsys, overrides, name):
+        doc = base_doc(tmp_path, **{"kind": "audit", **overrides})
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(base_doc(tmp_path, kind="audit", **overrides)))
-        assert cli_main(["audit", "--config", str(cfg)]) == EXIT_FAILED
+        cfg.write_text(json.dumps(doc))
+        command = "phase" if doc["kind"] == "phase-sweep" else "audit"
+        assert cli_main([command, "--config", str(cfg)]) == EXIT_FAILED
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be ")
         assert "Traceback" not in err
@@ -421,6 +430,19 @@ class TestPhaseSweep:
         assert skips and all(r["n"] == "14" for r in skips)
         # the feasible cell still ran
         assert any(r["row_type"] == "trial" and r["n"] == "8" for r in rows)
+
+    def test_heuristic_tier_cap_skips_cell(self, tmp_path, monkeypatch):
+        def no_host(*args):
+            raise AssertionError("a host was drawn for a capped cell")
+
+        monkeypatch.setattr(mantelab.experiments, "sample_gknp", no_host)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(tmp_path, n=[201], tier="heuristic")))
+        assert cli_main(["phase", "--config", str(cfg)]) == EXIT_PARTIAL
+        _, _, rows = read_rows(tmp_path / "run.csv")
+        assert [(r["row_type"], r["n"], r["trial"], r["match"]) for r in rows] == [
+            ("skip", "201", "", "heuristic tier capped at n=200")
+        ]
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
         doc = base_doc(tmp_path, trials=3, p={"absolute": [0.4, 0.7]}, out=str(tmp_path / "a"))
@@ -861,6 +883,26 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert cli_main(["phase", "--config", str(cfg)]) == 1
+
+    def test_config_not_an_object_fails(self, tmp_path, capsys):
+        doc = [base_doc(tmp_path)]
+        with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+            config_from_dict(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["phase", "--config", str(cfg)]) == EXIT_FAILED
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_each_kind_has_a_runner_and_one_command(self):
+        kinds = mantelab.experiments.KINDS
+        assert kinds == tuple(mantelab.experiments._RUNNERS)
+        by_command = mantelab.cli._KIND_BY_COMMAND
+        assert sorted(by_command.values()) == sorted(kinds)
+        assert {c: k for c, k in by_command.items() if c != k} == {"phase": "phase-sweep"}
+        parser = mantelab.cli._build_parser()
+        for command in by_command:
+            assert parser.parse_args([command, "--config", "c.json"]).command == command
 
     @pytest.mark.parametrize(
         "flag,value", [("--restarts", "-3"), ("--restarts", "0"),

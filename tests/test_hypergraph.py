@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -405,8 +406,41 @@ class TestTextFormat:
             "8 4 1\n0 1 2 03\n",
             "08 4 1\n0 1 2 3\n",
             "20 4 1\n0 1 2 1_0\n",
+            # no header, and an edge line one vertex short
+            "\n",
+            "7 4 1\n0 1 2\n",
         ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             from_text(bad)
+
+
+# the range checks of the constructors and helpers, each with its message
+_RANGE_CHECKS = [
+    pytest.param(lambda: t4().degree(7), "vertex 7 out of range 0..6", id="degree"),
+    pytest.param(lambda: EdgeSet(t4(), frozenset({1, 3})), "edge ids out of range: [3]",
+                 id="edge-ids"),
+    pytest.param(lambda: VertexPartition(0, ()), "partition needs at least one class",
+                 id="no-class"),
+    pytest.param(lambda: VertexPartition(2, (0, 2)), "vertex 1: class 2 out of range 0..1",
+                 id="class-label"),
+    pytest.param(lambda: build_hypergraph(3, 1, []), "uniformity k=1 must be at least 2",
+                 id="build-k"),
+    pytest.param(lambda: complete_hypergraph(3, 4), "need n >= k >= 2, got n=3, k=4",
+                 id="complete-n"),
+    pytest.param(lambda: common_degree(t4(), 0, 7), "vertex 7 out of range 0..6",
+                 id="common-degree"),
+    pytest.param(lambda: partition_from_classes([[0, 5]], 3), "vertex 5 out of range 0..2",
+                 id="classes-range"),
+    pytest.param(lambda: partition_from_classes([[0, 1], [1, 2]], 3), "vertex 1 assigned twice",
+                 id="classes-twice"),
+    pytest.param(lambda: partition_from_classes([[0], [2]], 3), "vertices not assigned: [1]",
+                 id="classes-missing"),
+]
+
+
+@pytest.mark.parametrize("call,message", _RANGE_CHECKS)
+def test_range_checks_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,8 +1,9 @@
 import json
 import math
 import random
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,6 +25,9 @@ import mantelab.proplab
 from mantelab.motifs import generalized_triangle
 from mantelab.proplab import (
     AuditConstants,
+    ConcentrationReport,
+    ConcentrationRow,
+    GapReport,
     _core_links,
     _pair_codegrees,
     chernoff_c,
@@ -660,3 +664,28 @@ class TestCutGap:
         g = empty_hypergraph(8, 4)
         rep = low_pair_cut_gap(g, equal_parts(8), 0.5, 0.5, 0, q_certified=True)
         assert rep.interpretation == "inconsistent-at-scale"
+
+
+def test_reports_hold_only_what_they_compute():
+    # the band's eps, the host's n and p, and the gap's q and its flag are
+    # the caller's arguments, which the caller already holds
+    assert [f.name for f in fields(ConcentrationReport)] == ["rows"]
+    assert [f.name for f in fields(ConcentrationRow)] == [
+        "name", "expected", "observed_min", "observed_max", "applicable", "passed"]
+    assert [f.name for f in fields(GapReport)] == [
+        "gap", "crossing", "low_pair_count", "discount", "interpretation"]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: concentration_report(complete_hypergraph(8, 3), 0.5),
+                 "concentration rows are defined for k=4, got k=3", id="concentration-k3"),
+    pytest.param(lambda: low_pairs(complete_hypergraph(8, 3), equal_parts(8), 0.5),
+                 "low pairs are defined for k=4, got k=3", id="low-pairs-k3"),
+    pytest.param(lambda: decomposition(complete_hypergraph(8, 4), empty_hypergraph(7, 4),
+                                       equal_parts(8), 0.5),
+                 "subhypergraph must share the host's vertex count and uniformity",
+                 id="decomposition-other-n"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

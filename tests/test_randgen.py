@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
@@ -331,3 +332,18 @@ class TestRandomPartition:
         assert random_partition(14, 4, derive_seed(3, 3)) == random_partition(
             14, 4, derive_seed(3, 3)
         )
+
+
+# C(200, 4) = 64,684,950 subsets, past the dense path's 5 * 10**7
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: colex_unrank(-1, 3), "rank must be non-negative", id="colex-unrank"),
+    pytest.param(lambda: sample_gknp(3, 4, 0.5, 1), "need n >= k >= 2, got n=3, k=4",
+                 id="sampler-n-below-k"),
+    pytest.param(lambda: sample_gknp_bernoulli(200, 4, 0.5, 1),
+                 "universe of 64684950 subsets too large for the dense path", id="dense-cap"),
+    pytest.param(lambda: random_partition(0, 4, 1), "need n >= 1 and r >= 1, got n=0, r=4",
+                 id="partition-n0"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1074,6 +1074,10 @@ class TestCut4Local:
         with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
             best_partition_for(g, "local", seed=5, restarts=restarts)
 
+    def test_rejects_wrong_uniformity(self):
+        with pytest.raises(ValueError, match="^4-partite cut needs k=4, got k=3$"):
+            max_cut4_local(complete_hypergraph(6, 3), 5)
+
     def test_single_edge(self):
         h = build_hypergraph(6, 4, [(0, 1, 2, 3)])
         res = max_cut4_local(h, derive_seed(7, 7), restarts=4)
